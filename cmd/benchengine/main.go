@@ -16,9 +16,9 @@
 // how throughput holds up at warehouse scale; -stream N runs N short jobs
 // through a ReleaseCompleted engine via the streaming Submit path, reporting
 // peak live heap alongside throughput (the engine holds only in-flight jobs,
-// so peak heap must not grow with N). -baseline FILE compares every row
-// against a previously emitted document and exits 1 if any shared row's
-// events/sec fell by more than -max-regress.
+// so peak heap must not grow with N). -baseline FILE compares every row,
+// the streamed-ingest one included, against a previously emitted document
+// and exits 1 if any shared row's events/sec fell by more than -max-regress.
 //
 // Trace generation and engine construction are excluded from the timed
 // region; allocations are the runtime's malloc count over the run itself.
@@ -314,9 +314,11 @@ func runStream(total, nodes int) (streamMeasurement, error) {
 }
 
 // compareBaseline checks every row of doc that also appears in the baseline
-// document and reports rows whose events/sec fell by more than maxRegress.
-// Rows only present on one side are ignored, so a conservative committed
-// baseline can pin just the cells CI cares about.
+// document — grid and scale rows by their cell, the streamed-ingest row when
+// both documents ran the same job and node counts — and reports rows whose
+// events/sec fell by more than maxRegress. Rows only present on one side are
+// ignored, so a conservative committed baseline can pin just the cells CI
+// cares about.
 func compareBaseline(doc output, path string, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -351,6 +353,9 @@ func compareBaseline(doc output, path string, maxRegress float64) error {
 		if want, ok := scaleBase[scaleKey(m)]; ok {
 			check("scale "+scaleKey(m), m.EventsPerSec, want)
 		}
+	}
+	if m, b := doc.Stream, base.Stream; m != nil && b != nil && m.Jobs == b.Jobs && m.Nodes == b.Nodes {
+		check(fmt.Sprintf("stream %d jobs/%d nodes", m.Jobs, m.Nodes), m.EventsPerSec, b.EventsPerSec)
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("throughput regressed beyond %.0f%%:\n  %s",

@@ -94,9 +94,17 @@ func (m *Mechanism) EncodeSnapshotState(e *snapshot.Enc) error {
 	}
 	// Collectors, in notice order. An entry whose state was deleted at
 	// completion is dropped: the next offer pass would discard it unchanged.
+	// A job whose collection stopped and later restarted is listed twice
+	// until an offer pass prunes its stale entry; only the first entry is
+	// written. An offer pass serves a job at its first entry, and a second
+	// entry is reached only once the job is satisfied (and skipped) or the
+	// pool is empty (and it gets nothing), so the list without the later
+	// duplicates schedules identically.
 	collecting := make([]int, 0, len(m.collectors))
+	listed := make(map[int]bool, len(m.collectors))
 	for _, s := range m.collectors {
-		if _, ok := m.states[s.j.ID]; ok {
+		if _, ok := m.states[s.j.ID]; ok && !listed[s.j.ID] {
+			listed[s.j.ID] = true
 			collecting = append(collecting, s.j.ID)
 		}
 	}

@@ -89,7 +89,7 @@ type Planner struct {
 //
 // The returned slice is owned by the Planner and valid until its next call.
 func (p *Planner) PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	return p.plan(now, queue, running, free, backfillExtra, ownReserve, flexible, false, 0)
+	return p.plan(now, queue, nil, running, free, backfillExtra, 0, ownReserve, flexible, false, 0)
 }
 
 // PlanEASYSorted is PlanEASY for a release list the caller maintains already
@@ -100,7 +100,29 @@ func (p *Planner) PlanEASY(now int64, queue []*job.Job, running []Running, free,
 // the cached result, so a pass repeated against an unchanged running set and
 // free pool skips the release-list scan entirely.
 func (p *Planner) PlanEASYSorted(now int64, queue []*job.Job, running []Running, relVersion uint64, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	return p.plan(now, queue, running, free, backfillExtra, ownReserve, flexible, true, relVersion)
+	return p.plan(now, queue, nil, running, free, backfillExtra, 0, ownReserve, flexible, true, relVersion)
+}
+
+// PlanQueue is PlanEASYSorted over an indexed Queue, sized under the
+// queue's sizing mode. It plans exactly the starts PlanEASYSorted would
+// plan for the queue's live jobs, but the backfill phase visits only the
+// slots whose index keys can pass both of these tests:
+//
+//	need <= free + backfillExtra + ownBound
+//	wall <= shadow - now, or need <= extra + backfillExtra + ownBound
+//
+// where need is a job's start need, wall its estimated wall time at full
+// size, and extra the head's extra-node slack. Every candidate the linear
+// walk starts passes both: a job draws at most ownBound from its own
+// reservation and at most backfillExtra from the shared reserve, and a
+// malleable job's wall time at any size it could start on is at least its
+// wall at full size. Starting a candidate only lowers the right-hand sides,
+// so a slot the index skips is one the linear walk would reject.
+//
+// ownBound must be at least ownReserve(j) for every queued job j (the
+// caller's total reserved-node count does); with ownReserve nil it is 0.
+func (p *Planner) PlanQueue(now int64, q *Queue, running []Running, relVersion uint64, free, backfillExtra, ownBound int, ownReserve func(*job.Job) int) []Start {
+	return p.plan(now, q.slots, q, running, free, backfillExtra, ownBound, ownReserve, q.flexible, true, relVersion)
 }
 
 // PlanEASY is the allocation-per-call form of Planner.PlanEASY, retained for
@@ -119,8 +141,11 @@ func startNeed(j *job.Job, flexible bool) int {
 	return j.Size
 }
 
-// plan is the shared three-phase EASY pass behind both entry points.
-func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible, sorted bool, relVer uint64) []Start {
+// plan is the shared three-phase EASY pass behind every entry point. With
+// an index it walks q's slots (queue is q.slots), skipping tombstones and,
+// in phase 3, every slot the index proves cannot start; without one it
+// walks queue linearly.
+func (p *Planner) plan(now int64, queue []*job.Job, q *Queue, running []Running, free, backfillExtra, ownBound int, ownReserve func(*job.Job) int, flexible, sorted bool, relVer uint64) []Start {
 	own := func(j *job.Job) int {
 		if ownReserve == nil {
 			return 0
@@ -129,10 +154,10 @@ func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, bac
 	}
 
 	starts := p.starts[:0]
-	idx := 0
+	idx := q.seek(queue, 0, liveProbe)
 
 	// Phase 1: run the head of the queue while it fits.
-	for idx < len(queue) {
+	for idx >= 0 {
 		j := queue[idx]
 		avail := free + own(j)
 		if startNeed(j, flexible) > avail {
@@ -148,9 +173,9 @@ func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, bac
 			fromOwn = size
 		}
 		free -= size - fromOwn
-		idx++
+		idx = q.seek(queue, idx+1, liveProbe)
 	}
-	if idx >= len(queue) {
+	if idx < 0 {
 		p.starts = starts
 		return starts
 	}
@@ -162,7 +187,12 @@ func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, bac
 	shadow, extra := p.shadowAndExtra(running, free, headNeed, sorted, relVer)
 
 	// Phase 3: backfill the rest of the queue in priority order.
-	for _, j := range queue[idx+1:] {
+	for {
+		idx = q.seek(queue, idx+1, backfillProbe(now, free, backfillExtra, ownBound, shadow, extra))
+		if idx < 0 {
+			break
+		}
+		j := queue[idx]
 		// On-demand jobs never run on other jobs' reserved capacity: a
 		// squatter is preemptable, and on-demand jobs must not be.
 		bfExtra := backfillExtra
@@ -206,6 +236,33 @@ func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, bac
 	}
 	p.starts = starts
 	return starts
+}
+
+// seek returns the first slot at or after k that the walk visits, or -1:
+// with an index, the next slot whose key p admits; without one, k itself
+// while it lies in queue.
+func (q *Queue) seek(queue []*job.Job, k int, p probe) int {
+	if q != nil {
+		return q.next(k, p)
+	}
+	if k < len(queue) {
+		return k
+	}
+	return -1
+}
+
+// backfillProbe is the index test a phase-3 candidate must pass under the
+// current pools (see PlanQueue).
+func backfillProbe(now int64, free, backfillExtra, ownBound int, shadow int64, extra int) probe {
+	p := probe{
+		need:      int64(min(free+backfillExtra+ownBound, maxLive)),
+		extraNeed: int64(min(extra+backfillExtra+ownBound, maxLive)),
+		wall:      maxInt64,
+	}
+	if shadow != maxInt64 {
+		p.wall = shadow - now
+	}
+	return p
 }
 
 // shadowAndExtra computes the head job's reservation: the shadow time at

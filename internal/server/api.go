@@ -21,7 +21,8 @@ const maxBodyBytes = 4 << 20
 // wireJob is the JSON form of one job submission. Field names and semantics
 // mirror hybridsched.Record; min_size defaults to size, estimate to work,
 // and notice_time/est_arrival to submit, so the common case is the five
-// fields id/class/submit/size/work.
+// fields id/class/submit/size/work. notice_time and est_arrival default only
+// when absent: an explicit 0 is the instant t=0.
 type wireJob struct {
 	ID         int    `json:"id"`
 	Project    int    `json:"project,omitempty"`
@@ -33,8 +34,8 @@ type wireJob struct {
 	Estimate   int64  `json:"estimate,omitempty"`
 	Setup      int64  `json:"setup,omitempty"`
 	Notice     string `json:"notice,omitempty"`
-	NoticeTime int64  `json:"notice_time,omitempty"`
-	EstArrival int64  `json:"est_arrival,omitempty"`
+	NoticeTime *int64 `json:"notice_time,omitempty"`
+	EstArrival *int64 `json:"est_arrival,omitempty"`
 }
 
 // record converts the wire form to a validated-on-submit Record.
@@ -67,7 +68,7 @@ func (j wireJob) record() (hybridsched.Record, error) {
 		ID: j.ID, Project: j.Project, Class: class,
 		Submit: j.Submit, Size: j.Size, MinSize: j.MinSize,
 		Work: j.Work, Estimate: j.Estimate, Setup: j.Setup,
-		Notice: notice, NoticeTime: j.NoticeTime, EstArrival: j.EstArrival,
+		Notice: notice, NoticeTime: j.Submit, EstArrival: j.Submit,
 	}
 	if r.MinSize == 0 {
 		r.MinSize = r.Size
@@ -75,11 +76,11 @@ func (j wireJob) record() (hybridsched.Record, error) {
 	if r.Estimate == 0 {
 		r.Estimate = r.Work
 	}
-	if r.NoticeTime == 0 {
-		r.NoticeTime = r.Submit
+	if j.NoticeTime != nil {
+		r.NoticeTime = *j.NoticeTime
 	}
-	if r.EstArrival == 0 {
-		r.EstArrival = r.Submit
+	if j.EstArrival != nil {
+		r.EstArrival = *j.EstArrival
 	}
 	return r, nil
 }

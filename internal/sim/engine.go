@@ -238,7 +238,8 @@ type squat struct {
 type jobEntry struct {
 	j       *job.Job
 	inQueue bool
-	running bool // Running or Warning (holds nodes)
+	running bool  // Running or Warning (holds nodes)
+	slot    int32 // waiting-queue slot while inQueue
 	endEv   *eventq.Event
 	warnEv  *eventq.Event
 
@@ -279,12 +280,14 @@ type Engine struct {
 	//schedlint:snapfield index over e.jobs; rebuilt by re-registering restored jobs
 	sparse map[int]*jobEntry
 
-	// queue is the waiting queue. With sortedQueue set it is maintained in
-	// policy order incrementally (binary-search insertion on enqueue); the
-	// built-in orderings are total, so the result is exactly what the
-	// per-pass stable sort used to produce. Time-dependent policies (WFP3,
-	// unknown registered ones) and the reference path re-sort every pass.
-	queue []*job.Job
+	// queue is the waiting queue, indexed for the backfill walk (see
+	// policy.Queue); each queued job's entry records its slot. With
+	// sortedQueue set it is maintained in policy order incrementally
+	// (binary-search insertion on enqueue); the built-in orderings are total,
+	// so the result is exactly what the per-pass stable sort used to produce.
+	// Time-dependent policies (WFP3, unknown registered ones) and the
+	// reference path append arrivals and re-sort every pass.
+	queue *policy.Queue
 	//schedlint:snapfield derived from Config.Policy/Reference, both re-supplied at restore
 	sortedQueue bool
 	//schedlint:snapfield cache of the re-attached mechanism's QueueOnDemandFirst
@@ -306,15 +309,6 @@ type Engine struct {
 	//schedlint:snapfield memoization version counter; any fresh value is correct after restore
 	relVer uint64
 
-	// minNeed is a lower bound on the smallest node count any queued job
-	// needs to start (its minimum size under flexible sizing). Enqueues lower
-	// it exactly; removals leave it stale-low (sound), and every executed
-	// scheduler pass recomputes it. A pass is skipped outright when even this
-	// bound exceeds everything a planner could hand out — the free pool plus
-	// reserved capacity counted both as private headroom and as shared
-	// backfill reserve.
-	//schedlint:snapfield stale-low-sound lower bound; the first pass after restore recomputes it
-	minNeed int
 	//schedlint:snapfield cache of the re-attached mechanism's FlexibleMalleable
 	flexible bool // mech.FlexibleMalleable(), cached at construction
 
@@ -360,7 +354,7 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 	e.sw = cfg.Stopwatch
 	e.odFirst = mech.QueueOnDemandFirst()
 	e.flexible = mech.FlexibleMalleable()
-	e.minNeed = maxIntVal
+	e.queue = policy.NewQueue(e.flexible, e.setSlot)
 	e.sortedQueue = !cfg.Reference && policy.TimeInvariant(cfg.Policy)
 	if cfg.ReleaseCompleted {
 		e.met.EnableStreaming()
@@ -540,14 +534,10 @@ func (e *Engine) RunningAll() []*job.Job {
 
 // QueuedJobs returns the waiting queue in its current order. The slice is
 // freshly allocated.
-func (e *Engine) QueuedJobs() []*job.Job {
-	out := make([]*job.Job, len(e.queue))
-	copy(out, e.queue)
-	return out
-}
+func (e *Engine) QueuedJobs() []*job.Job { return e.queue.Jobs() }
 
 // QueueDepth returns the number of jobs in the waiting queue.
-func (e *Engine) QueueDepth() int { return len(e.queue) }
+func (e *Engine) QueueDepth() int { return e.queue.Len() }
 
 // Nodes returns the system size.
 func (e *Engine) Nodes() int { return e.cfg.Nodes }
@@ -779,7 +769,7 @@ func (e *Engine) Report() metrics.Report { return e.met.Report() }
 // manager would time such holds out. Returns true if anything was released.
 func (e *Engine) breakHoldDeadlock() bool {
 	released := false
-	for _, j := range e.queue {
+	for _, j := range e.queue.Jobs() {
 		if e.cl.ReservedCount(j.ID) > 0 {
 			e.cl.UnreserveAll(j.ID)
 			released = true
@@ -958,45 +948,59 @@ func (e *Engine) enqueue(j *job.Job) {
 		return
 	}
 	j.State = job.Waiting
+	ent.inQueue = true
 	if e.sortedQueue {
 		// Insert at the policy-order position. The built-in orderings are
 		// total (ties break by ID), so the incremental order matches what
 		// re-sorting the whole queue each pass used to produce.
-		i := sort.Search(len(e.queue), func(k int) bool {
-			return !policy.Less(e.queue[k], j, e.cfg.Policy, e.clk, e.odFirst)
-		})
-		e.queue = append(e.queue, nil)
-		copy(e.queue[i+1:], e.queue[i:])
-		e.queue[i] = j
+		e.queue.Insert(j, e.cfg.Policy, e.clk, e.odFirst)
 	} else {
-		e.queue = append(e.queue, j)
-	}
-	ent.inQueue = true
-	if need := e.startNeedOf(j); need < e.minNeed {
-		e.minNeed = need
+		e.queue.Append(j)
 	}
 }
 
-// maxIntVal is the minNeed sentinel for an empty queue.
-const maxIntVal = int(^uint(0) >> 1)
+// setSlot records the waiting-queue slot a queued job now occupies.
+func (e *Engine) setSlot(j *job.Job, slot int) { e.mustEnt(j).slot = int32(slot) }
 
-// startNeedOf is the smallest node count that lets j start: its minimum size
-// under flexible malleable sizing, its full size otherwise.
-func (e *Engine) startNeedOf(j *job.Job) int {
-	if e.flexible && j.Class == job.Malleable {
-		return j.MinSize
-	}
-	return j.Size
-}
-
-// recomputeMinNeed restores minNeed to the exact queue minimum.
-func (e *Engine) recomputeMinNeed() {
-	e.minNeed = maxIntVal
-	for _, j := range e.queue {
-		if need := e.startNeedOf(j); need < e.minNeed {
-			e.minNeed = need
+// checkQueue verifies the job index against the waiting queue: every live
+// slot's job is marked queued at that slot, no other job is marked queued,
+// and QueuedJobs returns exactly the live jobs, no tombstone among them.
+func (e *Engine) checkQueue() error {
+	live := 0
+	for k := 0; k < e.queue.Slots(); k++ {
+		j := e.queue.At(k)
+		if j == nil {
+			continue
+		}
+		live++
+		if ent := e.lookup(j.ID); ent == nil || !ent.inQueue || int(ent.slot) != k {
+			return fmt.Errorf("sim: queued job %d in slot %d is not indexed there", j.ID, k)
 		}
 	}
+	queued := e.QueuedJobs()
+	if live != e.queue.Len() || len(queued) != live {
+		return fmt.Errorf("sim: queue has %d live slots, Len %d, QueuedJobs %d", live, e.queue.Len(), len(queued))
+	}
+	for _, j := range queued {
+		if j == nil {
+			return fmt.Errorf("sim: QueuedJobs returned a tombstone")
+		}
+	}
+	marked := 0
+	for i := range e.dense {
+		if e.dense[i].j != nil && e.dense[i].inQueue {
+			marked++
+		}
+	}
+	for _, ent := range e.sparse {
+		if ent.inQueue {
+			marked++
+		}
+	}
+	if marked != live {
+		return fmt.Errorf("sim: %d jobs marked queued, queue holds %d", marked, live)
+	}
+	return nil
 }
 
 func (e *Engine) removeFromQueue(j *job.Job) {
@@ -1004,18 +1008,8 @@ func (e *Engine) removeFromQueue(j *job.Job) {
 	if !ent.inQueue {
 		return
 	}
-	for i, q := range e.queue {
-		if q.ID == j.ID {
-			copy(e.queue[i:], e.queue[i+1:])
-			e.queue[len(e.queue)-1] = nil
-			e.queue = e.queue[:len(e.queue)-1]
-			break
-		}
-	}
 	ent.inQueue = false
-	if len(e.queue) == 0 {
-		e.minNeed = maxIntVal
-	}
+	e.queue.Remove(int(ent.slot))
 }
 
 func (e *Engine) requestSchedule() {

@@ -239,8 +239,8 @@ func TestEnqueueWaitingIdempotent(t *testing.T) {
 	r.State = job.Waiting
 	e.EnqueueWaiting(r)
 	e.EnqueueWaiting(r)
-	if len(e.queue) != 1 {
-		t.Fatalf("queue length %d, want 1", len(e.queue))
+	if e.queue.Len() != 1 {
+		t.Fatalf("queue length %d, want 1", e.queue.Len())
 	}
 }
 

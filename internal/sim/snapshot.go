@@ -122,8 +122,9 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 
 	// Waiting queue and running set, by job ID, order preserved verbatim.
-	ids := make([]int, len(e.queue))
-	for i, j := range e.queue {
+	queued := e.queue.Jobs()
+	ids := make([]int, len(queued))
+	for i, j := range queued {
 		ids[i] = j.ID
 	}
 	enc.Ints(ids)
@@ -598,7 +599,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.dispatched = dispatched
 	e.primed = primed
 	e.schedPending = schedPending
-	e.queue = queue
+	e.queue.Reset(queue)
 	e.running = running
 	e.cl = cl
 	e.met = met
@@ -609,8 +610,8 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.q = q
 	// Rebuild the optimized path's incremental scheduler state: the release
 	// list (the running set is ascending-ID, so appending and sorting by
-	// (EstEnd, ID) reproduces exactly what live maintenance held), the
-	// queue-minimum bound, and a fresh planner with no memoized shadow.
+	// (EstEnd, ID) reproduces exactly what live maintenance held) and a fresh
+	// planner with no memoized shadow. The queue index was rebuilt by Reset.
 	e.rel = e.rel[:0]
 	if !e.cfg.Reference {
 		for _, j := range running {
@@ -625,7 +626,6 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	}
 	e.relVer++
 	e.planner = policy.Planner{}
-	e.recomputeMinNeed()
 	e.err = nil
 	return nil
 }
