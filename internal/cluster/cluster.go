@@ -46,7 +46,7 @@ func New(n int) *Cluster {
 	return &Cluster{
 		n:        n,
 		free:     nodeset.Range(0, n),
-		down:     nodeset.New(n),
+		down:     &nodeset.Set{},
 		alloc:    make(map[int]*nodeset.Set),
 		reserved: make(map[int]*nodeset.Set),
 	}
@@ -60,6 +60,10 @@ func (c *Cluster) FreeCount() int { return c.free.Len() }
 
 // FreeSet returns a copy of the free pool's node set.
 func (c *Cluster) FreeSet() *nodeset.Set { return c.free.Clone() }
+
+// KeepFree drops from s every node that is not in the free pool, in place,
+// without copying the pool.
+func (c *Cluster) KeepFree(s *nodeset.Set) { s.IntersectWith(c.free) }
 
 // DownCount returns the number of out-of-service nodes.
 func (c *Cluster) DownCount() int { return c.down.Len() }
@@ -191,11 +195,8 @@ func (c *Cluster) AllocatedCount(job int) int {
 // set actually moved (may be smaller than k when the free pool is short).
 func (c *Cluster) Reserve(claim, k int) *nodeset.Set {
 	taken := c.free.Pick(k)
-	if !taken.Empty() {
-		c.reservation(claim).UnionWith(taken)
-		c.totalRes += taken.Len()
-	}
-	return taken
+	c.totalRes += taken.Len()
+	return hand(c.reserved, claim, taken)
 }
 
 // ReserveExact moves the specific free nodes in set into claim's reservation.
@@ -208,7 +209,7 @@ func (c *Cluster) ReserveExact(claim int, set *nodeset.Set) {
 		panic(fmt.Sprintf("cluster: ReserveExact(%d) on non-free nodes", claim))
 	}
 	c.free.SubtractWith(set)
-	c.reservation(claim).UnionWith(set)
+	holding(c.reserved, claim).UnionWith(set)
 	c.totalRes += set.Len()
 }
 
@@ -228,15 +229,10 @@ func (c *Cluster) UnreserveAll(claim int) *nodeset.Set {
 // AllocFree moves exactly k free nodes to job's allocation and returns them.
 // It panics if fewer than k nodes are free — callers must check first.
 func (c *Cluster) AllocFree(job, k int) *nodeset.Set {
-	if k <= 0 {
-		return &nodeset.Set{}
-	}
 	if c.free.Len() < k {
 		panic(fmt.Sprintf("cluster: AllocFree(job %d, %d) with only %d free", job, k, c.free.Len()))
 	}
-	taken := c.free.Pick(k)
-	c.allocation(job).UnionWith(taken)
-	return taken
+	return hand(c.alloc, job, c.free.Pick(k))
 }
 
 // AllocExact moves the specific free nodes in set to job's allocation.
@@ -249,7 +245,7 @@ func (c *Cluster) AllocExact(job int, set *nodeset.Set) {
 		panic(fmt.Sprintf("cluster: AllocExact(job %d) on non-free nodes", job))
 	}
 	c.free.SubtractWith(set)
-	c.allocation(job).UnionWith(set)
+	holding(c.alloc, job).UnionWith(set)
 }
 
 // AllocReserved moves up to k nodes from claim's reservation to job's
@@ -265,8 +261,7 @@ func (c *Cluster) AllocReserved(job, claim, k int) *nodeset.Set {
 	if s.Empty() {
 		delete(c.reserved, claim)
 	}
-	c.allocation(job).UnionWith(taken)
-	return taken
+	return hand(c.alloc, job, taken)
 }
 
 // Release returns all of job's nodes to the free pool and returns the
@@ -299,14 +294,7 @@ func (c *Cluster) ReleasePartial(job, k int) *nodeset.Set {
 // Grow moves up to k free nodes into an existing allocation (a malleable
 // expansion) and returns the set moved.
 func (c *Cluster) Grow(job, k int) *nodeset.Set {
-	if k <= 0 {
-		return &nodeset.Set{}
-	}
-	taken := c.free.Pick(k)
-	if !taken.Empty() {
-		c.allocation(job).UnionWith(taken)
-	}
-	return taken
+	return hand(c.alloc, job, c.free.Pick(k))
 }
 
 // Claims returns the IDs of all current reservation holders, in ascending
@@ -362,20 +350,30 @@ func (c *Cluster) CheckInvariant() error {
 	return nil
 }
 
-func (c *Cluster) reservation(claim int) *nodeset.Set {
-	s, ok := c.reserved[claim]
+// holding returns id's set in pools, creating an empty one if it holds none.
+func holding(pools map[int]*nodeset.Set, id int) *nodeset.Set {
+	s, ok := pools[id]
 	if !ok {
-		s = nodeset.New(c.n)
-		c.reserved[claim] = s
+		s = &nodeset.Set{}
+		pools[id] = s
 	}
 	return s
 }
 
-func (c *Cluster) allocation(job int) *nodeset.Set {
-	s, ok := c.alloc[job]
-	if !ok {
-		s = nodeset.New(c.n)
-		c.alloc[job] = s
+// hand moves a freshly picked set into id's holding in pools and returns a
+// set the caller may keep and mutate. A holder with nothing yet takes the
+// picked set over rather than copying it into a new one; the caller then
+// gets a copy, because the set stored in pools must never be one a caller
+// holds (the engine keeps and trims the sets it is handed). An empty pick
+// creates no holding.
+func hand(pools map[int]*nodeset.Set, id int, taken *nodeset.Set) *nodeset.Set {
+	if taken.Empty() {
+		return taken
 	}
-	return s
+	if s, ok := pools[id]; ok {
+		s.UnionWith(taken)
+		return taken
+	}
+	pools[id] = taken
+	return taken.Clone()
 }

@@ -431,3 +431,55 @@ func TestClaimsSorted(t *testing.T) {
 	}
 	mustOK(t, c)
 }
+
+// TestReturnedSetsAreNotAliased mutates every set a moving call hands back —
+// for a holder that had nothing yet (the cluster takes the picked set over)
+// and for one that already held nodes — and requires the cluster's own
+// bookkeeping to be untouched: callers keep and trim these sets.
+func TestReturnedSetsAreNotAliased(t *testing.T) {
+	const job, claim = 1, 7
+	cases := []struct {
+		name string
+		prep func(c *Cluster)
+		move func(c *Cluster) *nodeset.Set
+	}{
+		{"AllocFree/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.AllocFree(job, 8) }},
+		{"AllocFree/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.AllocFree(job, 8) }},
+		{"AllocReserved/new", func(c *Cluster) { c.Reserve(claim, 20) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
+		{"AllocReserved/existing", func(c *Cluster) { c.Reserve(claim, 20); c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
+		{"AllocReserved/whole", func(c *Cluster) { c.Reserve(claim, 8) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
+		{"Reserve/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.Reserve(claim, 8) }},
+		{"Reserve/existing", func(c *Cluster) { c.Reserve(claim, 4) }, func(c *Cluster) *nodeset.Set { return c.Reserve(claim, 8) }},
+		{"Grow/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.Grow(job, 8) }},
+		{"Grow/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.Grow(job, 8) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(256)
+			c.AllocFree(99, 3) // the picks start inside a word
+			tc.prep(c)
+			got := tc.move(c)
+			if got.Len() != 8 {
+				t.Fatalf("moved %d nodes, want 8", got.Len())
+			}
+			alloc, res := c.Allocated(job), c.ReservedSet(claim)
+			total := c.TotalReserved()
+			mustOK(t, c)
+
+			lost, _ := got.NextSet(0)
+			got.Remove(lost)
+			got.Pick(3)
+			got.Add(200)
+			got.UnionWith(nodeset.Range(100, 140))
+			got.SubtractWith(nodeset.Range(0, 256))
+
+			if c.AllocatedCount(job) != alloc.Len() || !c.Allocated(job).Equal(alloc) {
+				t.Fatalf("allocation changed with the returned set: %s, was %s", c.Allocated(job), alloc)
+			}
+			if c.ReservedCount(claim) != res.Len() || !c.ReservedSet(claim).Equal(res) || c.TotalReserved() != total {
+				t.Fatalf("reservation changed with the returned set: %s, was %s", c.ReservedSet(claim), res)
+			}
+			mustOK(t, c)
+		})
+	}
+}

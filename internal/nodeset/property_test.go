@@ -2,6 +2,8 @@ package nodeset
 
 import (
 	"math/bits"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -172,34 +174,66 @@ func TestQuickCountConsistency(t *testing.T) {
 	})
 }
 
+// TestGrowOnAdd adds an ID far beyond whatever the set stores and checks
+// the result through the public surface only: membership, size, order,
+// iteration and equality must all see the new member next to the old ones,
+// and growing the span downward afterwards must keep both.
 func TestGrowOnAdd(t *testing.T) {
 	cases := []struct {
 		name string
 		s    *Set
+		had  []int
 	}{
-		{"zero value", &Set{}},
-		{"New(0)", New(0)},
-		{"New(4)", New(4)},
-		{"Range(0,3)", Range(0, 3)},
+		{"zero value", &Set{}, nil},
+		{"New(0)", New(0), nil},
+		{"New(4)", New(4), nil},
+		{"Range(0,3)", Range(0, 3), []int{0, 1, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := tc.s.Len()
-			tc.s.Add(1000) // far beyond any initial capacity
-			if len(tc.s.words) < 1000/wordBits+1 {
-				t.Fatalf("words did not grow: %d", len(tc.s.words))
+			s := tc.s
+			s.Add(1000)
+			want := append(append([]int(nil), tc.had...), 1000)
+			check := func(step string, want []int) {
+				t.Helper()
+				if s.Len() != len(want) {
+					t.Fatalf("%s: Len = %d, want %d", step, s.Len(), len(want))
+				}
+				if got := s.IDs(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: IDs = %v, want %v", step, got, want)
+				}
+				for _, id := range want {
+					if !s.Contains(id) {
+						t.Fatalf("%s: Contains(%d) = false", step, id)
+					}
+				}
+				for _, id := range []int{-1, 3, 999, 1001, 5000} {
+					if s.Contains(id) && !slices.Contains(want, id) {
+						t.Fatalf("%s: Contains(%d) = true", step, id)
+					}
+				}
+				prev := -1
+				for _, id := range want {
+					if got, ok := s.NextSet(prev + 1); !ok || got != id {
+						t.Fatalf("%s: NextSet(%d) = %d,%v, want %d", step, prev+1, got, ok, id)
+					}
+					prev = id
+				}
+				if got, ok := s.NextSet(prev + 1); ok {
+					t.Fatalf("%s: NextSet(%d) = %d past the last member", step, prev+1, got)
+				}
+				if ref := FromIDs(want...); !s.Equal(ref) || !ref.Equal(s) {
+					t.Fatalf("%s: %s not Equal to FromIDs(%v)", step, s, want)
+				}
 			}
-			if !tc.s.Contains(1000) || tc.s.Len() != before+1 {
-				t.Fatalf("Add(1000) not reflected: len %d", tc.s.Len())
-			}
-			tc.s.Add(1000) // re-add: count must not move
-			if tc.s.Len() != before+1 {
-				t.Fatalf("duplicate Add changed count to %d", tc.s.Len())
-			}
-			tc.s.Remove(5000) // beyond capacity: no-op, no growth panic
-			if tc.s.Len() != before+1 {
-				t.Fatalf("out-of-range Remove changed count to %d", tc.s.Len())
-			}
+			check("Add(1000)", want)
+			s.Add(1000) // re-add: nothing moves
+			check("re-Add(1000)", want)
+			s.Remove(5000) // beyond the stored span: no-op, no growth panic
+			check("Remove(5000)", want)
+			s.Add(200) // grows the span downward when it starts above word 3
+			want = append(append([]int(nil), tc.had...), 200, 1000)
+			check("Add(200)", want)
 		})
 	}
 }

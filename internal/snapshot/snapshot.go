@@ -92,8 +92,13 @@ func (e *Enc) Blob(b []byte) {
 }
 
 // U64s appends a length-prefixed slice of 64-bit values.
-func (e *Enc) U64s(vs []uint64) {
-	e.U32(uint32(len(vs)))
+func (e *Enc) U64s(vs []uint64) { e.ZeroPaddedU64s(0, vs) }
+
+// ZeroPaddedU64s appends the bytes U64s writes for lead zero values followed
+// by vs, without materializing the zeros.
+func (e *Enc) ZeroPaddedU64s(lead int, vs []uint64) {
+	e.U32(uint32(lead + len(vs)))
+	e.buf = append(e.buf, make([]byte, 8*lead)...)
 	for _, v := range vs {
 		e.U64(v)
 	}
