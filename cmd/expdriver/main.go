@@ -13,8 +13,13 @@
 //	expdriver -format json -o all.json   # result structs as JSON
 //	expdriver -exp resilience -mtbf 6h,24h -repair 0,1h   # degraded capacity
 //	expdriver -exp resilience -drain 24h+4h:512           # + maintenance window
-//	expdriver -exp fig6 -resume ckpt/                     # resumable: rerun after a kill
+//	expdriver -exp fig6 -checkpoint ckpt/                 # resumable: rerun after a kill
 //	                                                      # picks up where it stopped
+//
+// The sweep flags shared with hybridsim (-workers, -source, -policy, -seed,
+// -seeds, -weeks, -nodes, -mtbf, -repair, -drain, -q, -checkpoint, -format)
+// are declared and validated by internal/sweepflags; every flag is checked
+// before -o is opened, so a typo never truncates an existing results file.
 //
 // The csv form contains only deterministic metrics and is byte-identical for
 // any -workers value; json serializes the full result structs, whose decision
@@ -23,127 +28,74 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
-	"hybridsched"
 	"hybridsched/internal/exp"
+	"hybridsched/internal/sweepflags"
 )
 
 func main() {
+	fl := sweepflags.Register(flag.CommandLine, 10, true)
 	var (
 		which = flag.String("exp", "all",
 			"comma-separated experiments: all, tablei, tableii, tableiii, fig3, fig4, fig5, fig6, fig7, latency, ablations, resilience, realtrace (needs -source; not part of all)")
-		seeds    = flag.Int("seeds", 10, "traces averaged per data point")
-		weeks    = flag.Int("weeks", 4, "trace length in weeks")
-		nodes    = flag.Int("nodes", 4392, "system size in nodes")
-		baseSeed = flag.Int64("seed", 1, "first seed")
-		srcSpec  = flag.String("source", "", "replay this source spec instead of synthetic traces, e.g. 'swf:theta.swf|relabel:paper' (collapses seed averaging to 1)")
-		pol      = flag.String("policy", "fcfs", "queue policy: fcfs, sjf, ljf, wfp3, or a registered name")
-		workers  = flag.Int("workers", 0, "parallel sweep workers (0 = all CPU cores)")
-		format   = flag.String("format", "text", "output format: text, json, csv")
-		out      = flag.String("o", "", "output file (default stdout)")
-		quiet    = flag.Bool("q", false, "suppress progress messages")
-		resume   = flag.String("resume", "", "persist per-cell progress into this directory and resume from whatever it already holds: finished cells are skipped, interrupted cells continue from their snapshots")
-		shards   = flag.Int("shards", 0, "realtrace: hash-shard count for the shard axis (0 = default 4, 1 = whole trace only)")
-		mtbfs    = flag.String("mtbf", "", "resilience failure-MTBF axis: comma-separated durations, e.g. '6h,24h' (default 6h,24h)")
-		repairs  = flag.String("repair", "", "resilience mean-repair axis: comma-separated durations, '0' = instant (default 0,1h)")
-		drains   = flag.String("drain", "", "maintenance windows applied to every resilience cell: 'start+duration:nodes', e.g. '24h+4h:512,96h+2h:256'")
+		out    = flag.String("o", "", "output file (default stdout)")
+		shards = flag.Int("shards", 0, "realtrace: hash-shard count for the shard axis (0 = default 4, 1 = whole trace only)")
 	)
 	flag.Parse()
-
-	// Validate the policy against the registry before any experiment runs:
-	// a bad name must not cost a paper-scale sweep before erroring.
-	if validPols := hybridsched.PolicyNames(); !slices.Contains(validPols, *pol) {
-		fmt.Fprintf(os.Stderr, "expdriver: unknown policy %q (valid: %s)\n",
-			*pol, strings.Join(validPols, ", "))
-		os.Exit(2)
-	}
-	// Same for the source spec: parse errors and missing files must surface
-	// before any trace is generated or cell simulated.
-	if *srcSpec != "" {
-		if _, err := hybridsched.ParseSource(*srcSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "expdriver:", err)
-			os.Exit(2)
-		}
-	}
-
-	// Resilience axes parse before anything runs — like the policy and source
-	// validations above, and before the output file is created, so a typo in
-	// a flag cannot truncate an existing results file.
-	faultMTBFs, err := parseDurationList(*mtbfs)
-	if err != nil {
-		fatalUsage(fmt.Errorf("-mtbf: %w", err))
-	}
-	faultRepairs, err := parseDurationList(*repairs)
-	if err != nil {
-		fatalUsage(fmt.Errorf("-repair: %w", err))
-	}
-	for _, m := range faultMTBFs {
-		if m <= 0 {
-			fatalUsage(fmt.Errorf("-mtbf values must be positive, got %gs", m))
-		}
-	}
-	for _, r := range faultRepairs {
-		if r < 0 {
-			fatalUsage(fmt.Errorf("-repair values must be non-negative, got %gs", r))
-		}
-	}
-	drainSpecs, err := hybridsched.ParseDrains(*drains)
-	if err != nil {
-		fatalUsage(fmt.Errorf("-drain: %w", err))
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	opt := exp.Options{
-		Nodes:         *nodes,
-		Weeks:         *weeks,
-		Seeds:         *seeds,
-		BaseSeed:      *baseSeed,
-		Policy:        *pol,
-		Workers:       *workers,
-		Source:        *srcSpec,
-		FaultMTBFs:    faultMTBFs,
-		FaultRepairs:  faultRepairs,
-		Drains:        drainSpecs,
-		Shards:        *shards,
-		CheckpointDir: *resume,
-	}
-	if !*quiet {
-		opt.Progress = os.Stderr
-	}
-
-	switch *format {
-	case "text", "json", "csv":
-	default:
-		fatal(fmt.Errorf("unknown format %q (want text, json, or csv)", *format))
+	if err := fl.Check(); err != nil {
+		sweepflags.FatalUsage(err)
 	}
 	known := []string{"all", "tablei", "fig3", "fig4", "fig5",
 		"tableii", "tableiii", "fig6", "fig7", "latency", "ablations", "resilience", "realtrace"}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*which, ",") {
 		name = strings.TrimSpace(name)
-		if !slices.Contains(known, name) {
-			fatal(fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(known, ", ")))
+		if err := sweepflags.CheckName("experiment", name, known); err != nil {
+			sweepflags.FatalUsage(err)
 		}
 		selected[name] = true
 	}
+	if selected["realtrace"] && fl.Source == "" {
+		sweepflags.FatalUsage(errors.New("-exp realtrace needs -source, e.g. 'borg:trace.csv.gz|relabel:paper'"))
+	}
 
-	d := &driver{w: w, format: *format, selected: selected}
+	// Every flag is valid: only now may -o replace an existing file.
+	var w io.Writer = os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			sweepflags.Fatal(err)
+		}
+		defer f.Close()
+		w = f
+	}
+
+	opt := exp.Options{
+		Nodes:         fl.Nodes,
+		Weeks:         fl.Weeks,
+		Seeds:         fl.Seeds,
+		BaseSeed:      fl.Seed,
+		Policy:        fl.Policy,
+		Workers:       fl.Workers,
+		Source:        fl.Source,
+		FaultMTBFs:    fl.MTBFs,
+		FaultRepairs:  fl.Repairs,
+		Drains:        fl.Drains,
+		Shards:        *shards,
+		CheckpointDir: fl.Checkpoint,
+	}
+	if !fl.Quiet {
+		opt.Progress = os.Stderr
+	}
+
+	d := &driver{w: w, format: fl.Format, selected: selected}
 	start := time.Now()
 
 	d.run("tablei", func() (renderer, []exp.CellGroup, error) {
@@ -217,9 +169,9 @@ func main() {
 	})
 
 	if err := d.finish(); err != nil {
-		fatal(err)
+		sweepflags.Fatal(err)
 	}
-	if !*quiet {
+	if !fl.Quiet {
 		fmt.Fprintf(os.Stderr, "expdriver: total %s\n", time.Since(start).Round(time.Millisecond))
 	}
 }
@@ -271,7 +223,7 @@ func (d *driver) run(name string, fn func() (renderer, []exp.CellGroup, error)) 
 	}
 	r, groups, err := fn()
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
+		sweepflags.Fatal(fmt.Errorf("%s: %w", name, err))
 	}
 	switch d.format {
 	case "text":
@@ -308,33 +260,4 @@ func (d *driver) finish() error {
 		return exp.WriteCellsCSV(d.w, d.csvOut...)
 	}
 	return nil
-}
-
-// parseDurationList parses comma-separated Go durations ("6h,24h") into
-// seconds. An empty string yields nil (the experiment's defaults apply).
-func parseDurationList(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d.Seconds())
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "expdriver:", err)
-	os.Exit(1)
-}
-
-// fatalUsage reports a bad flag value and exits 2, the conventional
-// usage-error status, before any expensive work has been done.
-func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "expdriver:", err)
-	os.Exit(2)
 }

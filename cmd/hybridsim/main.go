@@ -7,229 +7,128 @@
 //
 // Usage:
 //
-//	hybridsim -trace trace.csv -mech CUA\&SPAA
 //	hybridsim -seed 1 -weeks 4 -mech N\&PAA             # generate on the fly
-//	hybridsim -trace jobs.swf -format swf -mech baseline
-//	hybridsim -mechs all -seeds 3 -workers 8 -out csv   # parallel sweep
+//	hybridsim -source csv:trace.csv -mech CUA\&SPAA     # replay a trace file
+//	hybridsim -source swf:jobs.swf -mech baseline       # SWF import
+//	hybridsim -mechs all -seeds 3 -workers 8 -format csv   # parallel sweep
 //	hybridsim -source 'swf:theta.swf|relabel:paper|scale:1.2' -mechs all
 //	hybridsim -mtbf 6h -repair 1h -mechs all            # degraded capacity
 //	hybridsim -drain '24h+4h:512' -mech baseline        # maintenance window
-//	hybridsim -mechs all -out csv -checkpoint ckpt/     # resumable sweep
-//	hybridsim -mechs all -out csv -restore ckpt/        # continue after a kill
+//	hybridsim -mechs all -format csv -checkpoint ckpt/  # resumable: rerun after
+//	                                                    # a kill picks up where it stopped
 //
 // -mtbf injects node failures at the given system MTBF (each strikes one
 // uniformly random node, interrupting whatever holds it); -repair keeps the
 // failed node out of service for a drawn repair time (0 = instant repair);
 // -drain schedules maintenance windows that absorb free capacity between
-// start and start+duration. All three apply to every path (-trace, -source,
-// and generated sweeps), and fault telemetry lands in the failures /
+// start and start+duration. All three apply to generated and -source
+// workloads alike, and fault telemetry lands in the failures /
 // failure_misses / unavailable_frac output columns.
 //
 // -source accepts the source-spec grammar (csv:/swf:/synthetic: heads,
 // relabel/scale/shift/limit/filter transforms, '+' merges); the named
-// workload replaces both -trace and synthetic generation, runs through the
-// sweep runner (so -mechs/-workers/-out all apply), and is materialized
-// once no matter how many mechanisms replay it.
+// workload replaces synthetic generation and is materialized once no matter
+// how many mechanisms replay it. `tracegen -validate jobs.swf` prints the
+// import summary of an SWF file (jobs skipped, fields defaulted).
+//
+// The sweep flags shared with expdriver (-workers, -source, -policy, -seed,
+// -seeds, -weeks, -nodes, -mtbf, -repair, -drain, -q, -checkpoint, -format)
+// are declared and validated by internal/sweepflags.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
-	"time"
 
 	"hybridsched"
+	"hybridsched/internal/sweepflags"
 )
 
 func main() {
+	fl := sweepflags.Register(flag.CommandLine, 1, false)
 	var (
-		tracePath = flag.String("trace", "", "input trace (empty: generate synthetically)")
-		srcSpec   = flag.String("source", "", "workload source spec, e.g. 'swf:theta.swf|relabel:paper|scale:1.2' (overrides -trace and generation; -seed/-seeds/-weeks/-mix ignored)")
-		format    = flag.String("format", "csv", "trace format: csv or swf")
 		mech      = flag.String("mech", "CUA&SPAA", "scheduler: baseline, the six paper mechanisms (e.g. CUA&SPAA), or a registered name")
 		mechs     = flag.String("mechs", "", "sweep schedulers: comma-separated names or \"all\" (overrides -mech)")
-		pol       = flag.String("policy", "fcfs", "queue policy: fcfs, sjf, ljf, wfp3, or a registered name")
-		nodes     = flag.Int("nodes", 4392, "system size in nodes")
-		seed      = flag.Int64("seed", 1, "first workload seed when generating")
-		seeds     = flag.Int("seeds", 1, "seeds per mechanism when generating (sweep mode)")
-		weeks     = flag.Int("weeks", 4, "workload weeks when generating")
 		mixName   = flag.String("mix", "W5", "notice mix W1..W5 when generating")
 		ckptMult  = flag.Float64("ckpt", 1.0, "checkpoint interval multiplier (0.5 = twice as frequent)")
 		bfres     = flag.Bool("backfill-reserved", false, "backfill jobs onto reserved nodes (evicted on arrival)")
 		noReturn  = flag.Bool("no-directed-return", false, "drop returned lease nodes into the common pool")
-		mtbf      = flag.Duration("mtbf", 0, "inject node failures at this system MTBF, e.g. 6h (0 = no injection; also drives the Daly checkpoint plans)")
-		repair    = flag.Duration("repair", 0, "mean node repair time, e.g. 1h (0 = instant repair: capacity never shrinks)")
-		drain     = flag.String("drain", "", "maintenance windows 'start+duration:nodes', e.g. '24h+4h:512,96h+2h:256'")
-		workers   = flag.Int("workers", 0, "parallel sweep workers (0 = all CPU cores)")
-		out       = flag.String("out", "text", "output format: text, json, csv")
-		quiet     = flag.Bool("q", false, "suppress sweep progress messages")
-		ckptDir   = flag.String("checkpoint", "", "persist per-cell sweep progress (snapshots + finished reports) into this directory; a killed sweep resumes with -restore")
-		ckptEvery = flag.Int("checkpoint-every", 0, "simulation events between cell snapshots (0 = default)")
-		resumeDir = flag.String("restore", "", "resume a sweep from this checkpoint directory: finished cells are skipped, interrupted cells continue from their snapshots (implies -checkpoint into it)")
+		ckptEvery = flag.Int("checkpoint-every", 0, "simulation events between cell snapshots under -checkpoint (0 = default)")
 	)
 	flag.Parse()
+	if err := fl.Check(); err != nil {
+		sweepflags.FatalUsage(err)
+	}
 
-	if *seeds < 1 {
-		fatal(fmt.Errorf("-seeds must be >= 1, got %d", *seeds))
-	}
-	switch *out {
-	case "text", "json", "csv":
-	default:
-		fatal(fmt.Errorf("unknown output format %q (want text, json, or csv)", *out))
-	}
 	mechList := []string{*mech}
-	if *mechs != "" {
-		if *mechs == "all" {
-			mechList = hybridsched.Mechanisms()
-		} else {
-			mechList = strings.Split(*mechs, ",")
-			for i := range mechList {
-				mechList[i] = strings.TrimSpace(mechList[i])
-				if mechList[i] == "" {
-					fatalUsage(fmt.Errorf("empty mechanism name in -mechs %q", *mechs))
-				}
-			}
+	if *mechs == "all" {
+		mechList = hybridsched.Mechanisms()
+	} else if *mechs != "" {
+		mechList = strings.Split(*mechs, ",")
+		for i := range mechList {
+			mechList[i] = strings.TrimSpace(mechList[i])
 		}
 	}
-	// Validate scheduler and policy names against the registries up front: a
-	// bad name must not cost a full trace generation before erroring.
-	validMechs := hybridsched.SchedulerNames()
+	// Validate scheduler names against the registry up front: a bad name
+	// must not cost a full trace generation before erroring.
 	for _, m := range mechList {
-		if !slices.Contains(validMechs, m) {
-			fatalUsage(fmt.Errorf("unknown scheduler %q (valid: %s)",
-				m, strings.Join(validMechs, ", ")))
+		if err := sweepflags.CheckName("scheduler", m, hybridsched.SchedulerNames()); err != nil {
+			sweepflags.FatalUsage(err)
 		}
 	}
-	if validPols := hybridsched.PolicyNames(); !slices.Contains(validPols, *pol) {
-		fatalUsage(fmt.Errorf("unknown policy %q (valid: %s)",
-			*pol, strings.Join(validPols, ", ")))
-	}
-	if *mtbf < 0 || *repair < 0 {
-		fatalUsage(fmt.Errorf("-mtbf and -repair must be non-negative"))
-	}
-	if *repair > 0 && *mtbf == 0 {
-		fatalUsage(fmt.Errorf("-repair requires -mtbf (no failures to repair)"))
-	}
-	drains, err := hybridsched.ParseDrains(*drain)
-	if err != nil {
-		fatalUsage(err)
-	}
-	if *resumeDir != "" {
-		if *ckptDir != "" && *ckptDir != *resumeDir {
-			fatalUsage(fmt.Errorf("-checkpoint %q and -restore %q name different directories", *ckptDir, *resumeDir))
-		}
-		*ckptDir = *resumeDir
-	}
-	sweepOpt := hybridsched.SweepOptions{
-		Workers:         *workers,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		Resume:          *resumeDir != "",
-	}
-	simCfg := func(m string) hybridsched.SimulationConfig {
-		cfg := hybridsched.SimulationConfig{
-			Nodes:              *nodes,
-			Mechanism:          m,
-			Policy:             *pol,
-			CheckpointFreqMult: *ckptMult,
-			BackfillReserved:   *bfres,
-			NoDirectedReturn:   *noReturn,
-		}
-		if *mtbf > 0 {
-			// Checkpoint for the failure rate actually injected.
-			cfg.MTBF = mtbf.Seconds()
-		}
-		return cfg
-	}
-	fillResilience := func(sp *hybridsched.SweepSpec) {
-		sp.FaultMTBF = mtbf.Seconds()
-		sp.FaultMeanRepair = repair.Seconds()
-		sp.Drains = drains
-	}
-
-	// A source spec runs through the sweep runner: one cell per mechanism,
-	// all sharing a single materialization of the spec.
-	if *srcSpec != "" {
-		if *tracePath != "" {
-			fatalUsage(fmt.Errorf("-source and -trace are mutually exclusive"))
-		}
-		// Parse now so a typo costs nothing (file heads also open here).
-		if _, err := hybridsched.ParseSource(*srcSpec); err != nil {
-			fatalUsage(err)
-		}
-		var specs []hybridsched.SweepSpec
-		for _, m := range mechList {
-			sp := hybridsched.SweepSpec{
-				Label:  m,
-				Source: *srcSpec,
-				Sim:    simCfg(m),
-			}
-			fillResilience(&sp)
-			specs = append(specs, sp)
-		}
-		runSweep(specs, sweepOpt, *out, *pol, *quiet)
-		return
-	}
-
-	// A fixed input trace can't go through the generator-driven sweep
-	// runner: replay it serially under each requested mechanism.
-	if *tracePath != "" {
-		if *out != "text" {
-			fatal(fmt.Errorf("-out %s requires generated workloads (drop -trace)", *out))
-		}
-		if *ckptDir != "" {
-			fatalUsage(fmt.Errorf("-checkpoint/-restore apply to sweeps; for a fixed trace use the Session Checkpoint/Restore API"))
-		}
-		records, err := readTrace(*tracePath, *format)
-		if err != nil {
-			fatal(err)
-		}
-		for i, m := range mechList {
-			if i > 0 {
-				fmt.Println()
-			}
-			rep, err := replay(simCfg(m), records, *mtbf, *repair, drains)
-			if err != nil {
-				fatal(err)
-			}
-			printReport(m, *pol, rep)
-		}
-		return
-	}
-
 	mix, err := hybridsched.MixByName(*mixName)
 	if err != nil {
-		fatal(err)
+		sweepflags.FatalUsage(fmt.Errorf("-mix: %w", err))
 	}
+
+	// A source spec is one fixed workload: one cell per mechanism, all
+	// sharing a single materialization. Otherwise each mechanism replays
+	// -seeds generated traces.
 	var specs []hybridsched.SweepSpec
 	for _, m := range mechList {
-		for s := 0; s < *seeds; s++ {
-			sp := hybridsched.SweepSpec{
-				Label: m,
-				Workload: hybridsched.WorkloadConfig{
-					Seed: *seed + int64(s), Weeks: *weeks, Nodes: *nodes, Mix: mix,
-				},
-				Sim: simCfg(m),
+		sp := hybridsched.SweepSpec{
+			Label:  m,
+			Source: fl.Source,
+			Sim: hybridsched.SimulationConfig{
+				Nodes:              fl.Nodes,
+				Mechanism:          m,
+				Policy:             fl.Policy,
+				CheckpointFreqMult: *ckptMult,
+				BackfillReserved:   *bfres,
+				NoDirectedReturn:   *noReturn,
+				MTBF:               fl.MTBF(), // checkpoint for the failure rate actually injected
+			},
+			FaultMTBF:       fl.MTBF(),
+			FaultMeanRepair: fl.Repair(),
+			Drains:          fl.Drains,
+		}
+		if fl.Source != "" {
+			specs = append(specs, sp)
+			continue
+		}
+		for s := 0; s < fl.Seeds; s++ {
+			sp.Workload = hybridsched.WorkloadConfig{
+				Seed: fl.Seed + int64(s), Weeks: fl.Weeks, Nodes: fl.Nodes, Mix: mix,
 			}
-			fillResilience(&sp)
 			specs = append(specs, sp)
 		}
 	}
-	runSweep(specs, sweepOpt, *out, *pol, *quiet)
-}
-
-// runSweep executes the grid and emits it in the requested format.
-func runSweep(specs []hybridsched.SweepSpec, opt hybridsched.SweepOptions, out, pol string, quiet bool) {
-	if !quiet && len(specs) > 1 {
+	opt := hybridsched.SweepOptions{
+		Workers:         fl.Workers,
+		CheckpointDir:   fl.Checkpoint,
+		CheckpointEvery: *ckptEvery,
+		Resume:          fl.Checkpoint != "",
+	}
+	if !fl.Quiet && len(specs) > 1 {
 		opt.Progress = os.Stderr
 	}
 	report, err := hybridsched.RunSweep(specs, opt)
 	if err != nil {
-		fatal(err)
+		sweepflags.Fatal(err)
 	}
-	switch out {
+	switch fl.Format {
 	case "json":
 		err = report.WriteJSON(os.Stdout)
 	case "csv":
@@ -239,68 +138,12 @@ func runSweep(specs []hybridsched.SweepSpec, opt hybridsched.SweepOptions, out, 
 			if i > 0 {
 				fmt.Println()
 			}
-			printReport(res.Spec.Label, pol, res.Report)
+			printReport(res.Spec.Label, fl.Policy, res.Report)
 		}
 	}
 	if err != nil {
-		fatal(err)
+		sweepflags.Fatal(err)
 	}
-}
-
-// replay runs a fixed trace under cfg through a session, wiring in fault
-// injection and maintenance windows when requested (Simulate has no
-// availability knobs; without them this is exactly Simulate).
-func replay(cfg hybridsched.SimulationConfig, records []hybridsched.Record,
-	mtbf, repair time.Duration, drains []hybridsched.DrainSpec) (hybridsched.Report, error) {
-	opts := []hybridsched.Option{hybridsched.WithConfig(cfg)}
-	if mtbf > 0 {
-		// The failure timeline must cover the whole replay: span of the
-		// trace's submissions plus generous tail room for the queue to drain.
-		var span int64
-		for _, r := range records {
-			if r.Submit > span {
-				span = r.Submit
-			}
-		}
-		opts = append(opts, hybridsched.WithFaults(hybridsched.FaultConfig{
-			MTBF:       mtbf.Seconds(),
-			Seed:       1,
-			Horizon:    span + 4*7*24*hybridsched.Hour,
-			MeanRepair: repair.Seconds(),
-		}))
-	}
-	for _, d := range drains {
-		opts = append(opts, hybridsched.WithDrain(d.Start, d.Duration, d.Nodes))
-	}
-	s, err := hybridsched.NewSession(opts...)
-	if err != nil {
-		return hybridsched.Report{}, err
-	}
-	for _, r := range records {
-		if err := s.Submit(r); err != nil {
-			return hybridsched.Report{}, err
-		}
-	}
-	return s.Run()
-}
-
-// readTrace loads a fixed input trace in the native CSV or SWF schema. SWF
-// imports print their summary to stderr — every SWF job arrives rigid, and
-// the defaulted fields deserve a mention rather than silence.
-func readTrace(path, format string) ([]hybridsched.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if format == "swf" {
-		records, sum, err := hybridsched.ReadSWFSummary(f)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "hybridsim: swf import: %s\n", sum)
-		}
-		return records, err
-	}
-	return hybridsched.ReadTraceCSV(f)
 }
 
 // printReport writes the single-run metrics block.
@@ -329,16 +172,4 @@ func printReport(mech, pol string, rep hybridsched.Report) {
 		fmt.Printf("decision latency    mean %.4f ms, max %.4f ms over %d decisions\n",
 			rep.MeanDecisionMs, rep.MaxDecisionMs, rep.DecisionCount)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hybridsim:", err)
-	os.Exit(1)
-}
-
-// fatalUsage reports a bad flag value and exits 2, the conventional
-// usage-error status, before any expensive work has been done.
-func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "hybridsim:", err)
-	os.Exit(2)
 }
