@@ -18,7 +18,10 @@
 // peak live heap alongside throughput (the engine holds only in-flight jobs,
 // so peak heap must not grow with N). -baseline FILE compares every row,
 // the streamed-ingest one included, against a previously emitted document
-// and exits 1 if any shared row's events/sec fell by more than -max-regress.
+// and exits 1 if any shared row's events/sec fell by more than -max-regress,
+// or if a grid or scale row's allocs/event rose more than 5% above a
+// non-zero baseline value (allocation counts do not depend on the host, so
+// that bound needs no CI-runner slack).
 //
 // Trace generation and engine construction are excluded from the timed
 // region; allocations are the runtime's malloc count over the run itself.
@@ -68,6 +71,10 @@ type scaleMeasurement struct {
 	Events       int     `json:"events"`
 	Seconds      float64 `json:"seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	// Allocs and AllocsPerEvent record the run's heap allocations, so the
+	// allocation budget is tracked across widths, not only at 1024 nodes.
+	Allocs         uint64  `json:"allocs"`
+	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
 // streamMeasurement is the streamed-ingest run: jobs submitted through the
@@ -190,11 +197,15 @@ func main() {
 						if err != nil {
 							fatal(fmt.Errorf("scale %d/%dw %s: %w", n, w, mech, err))
 						}
-						doc.Scale = append(doc.Scale, scaleMeasurement{
+						row := scaleMeasurement{
 							Nodes: n, Weeks: w, Mechanism: mech, Mix: "W3", Reference: ref,
 							Jobs: len(records), Events: m.Events,
-							Seconds: m.Seconds, EventsPerSec: m.EventsPerSec,
-						})
+							Seconds: m.Seconds, EventsPerSec: m.EventsPerSec, Allocs: m.Allocs,
+						}
+						if m.Events > 0 {
+							row.AllocsPerEvent = float64(m.Allocs) / float64(m.Events)
+						}
+						doc.Scale = append(doc.Scale, row)
 					}
 				}
 			}
@@ -313,12 +324,20 @@ func runStream(total, nodes int) (streamMeasurement, error) {
 	return m, nil
 }
 
+// maxAllocGrowth is how far a row's allocs/event may rise above a non-zero
+// baseline value before compareBaseline fails it.
+const maxAllocGrowth = 0.05
+
+// rowMetrics is what compareBaseline reads from a row.
+type rowMetrics struct{ eventsPerSec, allocsPerEvent float64 }
+
 // compareBaseline checks every row of doc that also appears in the baseline
 // document — grid and scale rows by their cell, the streamed-ingest row when
 // both documents ran the same job and node counts — and reports rows whose
-// events/sec fell by more than maxRegress. Rows only present on one side are
-// ignored, so a conservative committed baseline can pin just the cells CI
-// cares about.
+// events/sec fell by more than maxRegress, or whose allocs/event rose by
+// more than maxAllocGrowth over a non-zero baseline value. Rows only present
+// on one side are ignored, so a conservative committed baseline can pin just
+// the cells CI cares about.
 func compareBaseline(doc output, path string, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -328,38 +347,44 @@ func compareBaseline(doc output, path string, maxRegress float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	gridBase := make(map[string]float64, len(base.Benchmarks))
+	gridBase := make(map[string]rowMetrics, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		gridBase[b.Mechanism+"/"+b.Mix] = b.EventsPerSec
+		gridBase[b.Mechanism+"/"+b.Mix] = rowMetrics{b.EventsPerSec, b.AllocsPerEvent}
 	}
-	scaleBase := make(map[string]float64, len(base.Scale))
+	scaleBase := make(map[string]rowMetrics, len(base.Scale))
 	for _, b := range base.Scale {
-		scaleBase[scaleKey(b)] = b.EventsPerSec
+		scaleBase[scaleKey(b)] = rowMetrics{b.EventsPerSec, b.AllocsPerEvent}
 	}
 	var regressions []string
-	check := func(key string, got, want float64) {
-		if want > 0 && got < want*(1-maxRegress) {
+	check := func(key string, got, want rowMetrics) {
+		if w := want.eventsPerSec; w > 0 && got.eventsPerSec < w*(1-maxRegress) {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (-%.0f%%)",
-					key, got, want, 100*(1-got/want)))
+				fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (-%.0f%%, bound -%.0f%%)",
+					key, got.eventsPerSec, w, 100*(1-got.eventsPerSec/w), 100*maxRegress))
+		}
+		if w := want.allocsPerEvent; w > 0 && got.allocsPerEvent > w*(1+maxAllocGrowth) {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.3f allocs/event vs baseline %.3f (+%.0f%%, bound +%.0f%%)",
+					key, got.allocsPerEvent, w, 100*(got.allocsPerEvent/w-1), 100*maxAllocGrowth))
 		}
 	}
 	for _, m := range doc.Benchmarks {
 		if want, ok := gridBase[m.Mechanism+"/"+m.Mix]; ok {
-			check(m.Mechanism+"/"+m.Mix, m.EventsPerSec, want)
+			check(m.Mechanism+"/"+m.Mix, rowMetrics{m.EventsPerSec, m.AllocsPerEvent}, want)
 		}
 	}
 	for _, m := range doc.Scale {
 		if want, ok := scaleBase[scaleKey(m)]; ok {
-			check("scale "+scaleKey(m), m.EventsPerSec, want)
+			check("scale "+scaleKey(m), rowMetrics{m.EventsPerSec, m.AllocsPerEvent}, want)
 		}
 	}
 	if m, b := doc.Stream, base.Stream; m != nil && b != nil && m.Jobs == b.Jobs && m.Nodes == b.Nodes {
-		check(fmt.Sprintf("stream %d jobs/%d nodes", m.Jobs, m.Nodes), m.EventsPerSec, b.EventsPerSec)
+		check(fmt.Sprintf("stream %d jobs/%d nodes", m.Jobs, m.Nodes),
+			rowMetrics{eventsPerSec: m.EventsPerSec}, rowMetrics{eventsPerSec: b.EventsPerSec})
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regressed beyond %.0f%%:\n  %s",
-			100*maxRegress, strings.Join(regressions, "\n  "))
+		return fmt.Errorf("benchmark rows regressed beyond their bounds:\n  %s",
+			strings.Join(regressions, "\n  "))
 	}
 	return nil
 }

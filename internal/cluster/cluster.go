@@ -18,6 +18,13 @@
 // integration and property tests do after every event. Misuse — double
 // allocation, releasing nodes a job does not hold — panics, because it is a
 // scheduler bug rather than a runtime condition.
+//
+// Moves into a holding (AllocFree, Grow, Reserve, AllocReserved) hand back no
+// node set: the picked set becomes the holder's, or is absorbed by it, and
+// no copy is made. AllocReserved reports only how many nodes moved; the one
+// caller that keeps the moved nodes asks AllocReservedCopy for a copy of its
+// own. Moves out of a holding (Release, ReleasePartial, UnreserveAll) return
+// the set they release, which the caller then owns.
 package cluster
 
 import (
@@ -68,9 +75,6 @@ func (c *Cluster) KeepFree(s *nodeset.Set) { s.IntersectWith(c.free) }
 // DownCount returns the number of out-of-service nodes.
 func (c *Cluster) DownCount() int { return c.down.Len() }
 
-// DownSet returns a copy of the out-of-service node set.
-func (c *Cluster) DownSet() *nodeset.Set { return c.down.Clone() }
-
 // AvailableCount returns the number of in-service nodes (total minus down),
 // regardless of whether they are free, reserved, or allocated.
 func (c *Cluster) AvailableCount() int { return c.n - c.down.Len() }
@@ -118,7 +122,7 @@ func (c *Cluster) TakeDownExact(set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic("cluster: TakeDownExact on non-free nodes")
 	}
 	c.free.SubtractWith(set)
@@ -149,7 +153,7 @@ func (c *Cluster) Restore(set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.down).Len() != 0 {
+	if !set.SubsetOf(c.down) {
 		panic("cluster: Restore on nodes that are not down")
 	}
 	c.down.SubtractWith(set)
@@ -191,12 +195,12 @@ func (c *Cluster) AllocatedCount(job int) int {
 	return 0
 }
 
-// Reserve moves up to k free nodes into claim's reservation and returns the
-// set actually moved (may be smaller than k when the free pool is short).
-func (c *Cluster) Reserve(claim, k int) *nodeset.Set {
+// Reserve moves up to k free nodes into claim's reservation (fewer when the
+// free pool is short; ReservedCount tells how many it holds).
+func (c *Cluster) Reserve(claim, k int) {
 	taken := c.free.Pick(k)
 	c.totalRes += taken.Len()
-	return hand(c.reserved, claim, taken)
+	hand(c.reserved, claim, taken)
 }
 
 // ReserveExact moves the specific free nodes in set into claim's reservation.
@@ -205,7 +209,7 @@ func (c *Cluster) ReserveExact(claim int, set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic(fmt.Sprintf("cluster: ReserveExact(%d) on non-free nodes", claim))
 	}
 	c.free.SubtractWith(set)
@@ -214,11 +218,11 @@ func (c *Cluster) ReserveExact(claim int, set *nodeset.Set) {
 }
 
 // UnreserveAll dissolves claim's reservation back into the free pool and
-// returns the released set. Unknown claims release nothing.
+// returns the released set. An unknown claim releases nothing and yields nil.
 func (c *Cluster) UnreserveAll(claim int) *nodeset.Set {
 	s, ok := c.reserved[claim]
 	if !ok {
-		return &nodeset.Set{}
+		return nil
 	}
 	delete(c.reserved, claim)
 	c.totalRes -= s.Len()
@@ -226,13 +230,13 @@ func (c *Cluster) UnreserveAll(claim int) *nodeset.Set {
 	return s
 }
 
-// AllocFree moves exactly k free nodes to job's allocation and returns them.
-// It panics if fewer than k nodes are free — callers must check first.
-func (c *Cluster) AllocFree(job, k int) *nodeset.Set {
+// AllocFree moves exactly k free nodes to job's allocation. It panics if
+// fewer than k nodes are free — callers must check first.
+func (c *Cluster) AllocFree(job, k int) {
 	if c.free.Len() < k {
 		panic(fmt.Sprintf("cluster: AllocFree(job %d, %d) with only %d free", job, k, c.free.Len()))
 	}
-	return hand(c.alloc, job, c.free.Pick(k))
+	hand(c.alloc, job, c.free.Pick(k))
 }
 
 // AllocExact moves the specific free nodes in set to job's allocation.
@@ -241,7 +245,7 @@ func (c *Cluster) AllocExact(job int, set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic(fmt.Sprintf("cluster: AllocExact(job %d) on non-free nodes", job))
 	}
 	c.free.SubtractWith(set)
@@ -249,19 +253,41 @@ func (c *Cluster) AllocExact(job int, set *nodeset.Set) {
 }
 
 // AllocReserved moves up to k nodes from claim's reservation to job's
-// allocation and returns the set moved. An empty or missing reservation
-// yields an empty set.
-func (c *Cluster) AllocReserved(job, claim, k int) *nodeset.Set {
+// allocation and returns how many moved. A missing reservation moves nothing
+// and allocates nothing.
+func (c *Cluster) AllocReserved(job, claim, k int) int {
+	if taken := c.allocReserved(job, claim, k); taken != nil {
+		return taken.Len()
+	}
+	return 0
+}
+
+// AllocReservedCopy is AllocReserved for a caller that keeps the moved
+// nodes: it returns a copy of them (empty when nothing moved), which the
+// caller may mutate freely — it never aliases a set the cluster holds.
+func (c *Cluster) AllocReservedCopy(job, claim, k int) *nodeset.Set {
+	if taken := c.allocReserved(job, claim, k); taken != nil {
+		return taken.Clone()
+	}
+	return &nodeset.Set{}
+}
+
+// allocReserved moves up to k nodes from claim's reservation to job's
+// allocation and returns the picked set, which may now be the one the
+// allocation holds: callers read it and must not keep it. It returns nil
+// when there is no reservation to draw from.
+func (c *Cluster) allocReserved(job, claim, k int) *nodeset.Set {
 	s, ok := c.reserved[claim]
 	if !ok || k <= 0 {
-		return &nodeset.Set{}
+		return nil
 	}
 	taken := s.Pick(k)
 	c.totalRes -= taken.Len()
 	if s.Empty() {
 		delete(c.reserved, claim)
 	}
-	return hand(c.alloc, job, taken)
+	hand(c.alloc, job, taken)
+	return taken
 }
 
 // Release returns all of job's nodes to the free pool and returns the
@@ -292,9 +318,9 @@ func (c *Cluster) ReleasePartial(job, k int) *nodeset.Set {
 }
 
 // Grow moves up to k free nodes into an existing allocation (a malleable
-// expansion) and returns the set moved.
-func (c *Cluster) Grow(job, k int) *nodeset.Set {
-	return hand(c.alloc, job, c.free.Pick(k))
+// expansion; fewer when the free pool is short).
+func (c *Cluster) Grow(job, k int) {
+	hand(c.alloc, job, c.free.Pick(k))
 }
 
 // Claims returns the IDs of all current reservation holders, in ascending
@@ -360,20 +386,17 @@ func holding(pools map[int]*nodeset.Set, id int) *nodeset.Set {
 	return s
 }
 
-// hand moves a freshly picked set into id's holding in pools and returns a
-// set the caller may keep and mutate. A holder with nothing yet takes the
-// picked set over rather than copying it into a new one; the caller then
-// gets a copy, because the set stored in pools must never be one a caller
-// holds (the engine keeps and trims the sets it is handed). An empty pick
-// creates no holding.
-func hand(pools map[int]*nodeset.Set, id int, taken *nodeset.Set) *nodeset.Set {
+// hand moves a freshly picked set into id's holding in pools: a holder with
+// nothing yet takes the picked set over rather than copying it into a new
+// one, and one that holds nodes already absorbs it. It is the single point
+// where a move reaches a holding. An empty pick creates no holding.
+func hand(pools map[int]*nodeset.Set, id int, taken *nodeset.Set) {
 	if taken.Empty() {
-		return taken
+		return
 	}
 	if s, ok := pools[id]; ok {
 		s.UnionWith(taken)
-		return taken
+		return
 	}
 	pools[id] = taken
-	return taken.Clone()
 }

@@ -34,8 +34,8 @@ func TestNewPanicsOnZeroNodes(t *testing.T) {
 
 func TestAllocFreeAndRelease(t *testing.T) {
 	c := New(100)
-	s := c.AllocFree(1, 30)
-	if s.Len() != 30 || c.FreeCount() != 70 || c.AllocatedCount(1) != 30 {
+	c.AllocFree(1, 30)
+	if c.FreeCount() != 70 || c.AllocatedCount(1) != 30 {
 		t.Fatal("alloc wrong")
 	}
 	mustOK(t, c)
@@ -70,24 +70,30 @@ func TestDoubleReleasePanics(t *testing.T) {
 
 func TestReserveAndAllocReserved(t *testing.T) {
 	c := New(100)
-	got := c.Reserve(7, 40)
-	if got.Len() != 40 || c.TotalReserved() != 40 || c.ReservedCount(7) != 40 || c.FreeCount() != 60 {
+	c.Reserve(7, 40)
+	if c.TotalReserved() != 40 || c.ReservedCount(7) != 40 || c.FreeCount() != 60 {
 		t.Fatal("reserve wrong")
 	}
 	mustOK(t, c)
 	// Start a job from the reservation, partially.
-	s := c.AllocReserved(1, 7, 25)
-	if s.Len() != 25 || c.ReservedCount(7) != 15 || c.AllocatedCount(1) != 25 {
+	if n := c.AllocReserved(1, 7, 25); n != 25 || c.ReservedCount(7) != 15 || c.AllocatedCount(1) != 25 {
 		t.Fatal("alloc from reservation wrong")
 	}
 	mustOK(t, c)
 	// Draining the reservation removes the claim entirely.
-	s2 := c.AllocReserved(1, 7, 100)
-	if s2.Len() != 15 || c.ReservedCount(7) != 0 || c.AllocatedCount(1) != 40 {
+	if n := c.AllocReserved(1, 7, 100); n != 15 || c.ReservedCount(7) != 0 || c.AllocatedCount(1) != 40 {
 		t.Fatal("drain reservation wrong")
 	}
 	if len(c.Claims()) != 0 {
 		t.Fatal("claim should be gone")
+	}
+	mustOK(t, c)
+	// A missing reservation moves nothing.
+	if n := c.AllocReserved(1, 7, 5); n != 0 || c.AllocatedCount(1) != 40 {
+		t.Fatal("alloc from a missing reservation moved nodes")
+	}
+	if got := c.AllocReservedCopy(1, 7, 5); got == nil || !got.Empty() {
+		t.Fatalf("copy from a missing reservation = %v, want an empty set", got)
 	}
 	mustOK(t, c)
 }
@@ -95,9 +101,9 @@ func TestReserveAndAllocReserved(t *testing.T) {
 func TestReserveClampsToFree(t *testing.T) {
 	c := New(50)
 	c.AllocFree(1, 45)
-	got := c.Reserve(9, 20)
-	if got.Len() != 5 || c.FreeCount() != 0 {
-		t.Fatalf("reserve should clamp: got %d", got.Len())
+	c.Reserve(9, 20)
+	if c.ReservedCount(9) != 5 || c.FreeCount() != 0 {
+		t.Fatalf("reserve should clamp: got %d", c.ReservedCount(9))
 	}
 	mustOK(t, c)
 }
@@ -110,7 +116,7 @@ func TestUnreserveAll(t *testing.T) {
 		t.Fatal("unreserve wrong")
 	}
 	// Unknown claim is a no-op.
-	if !c.UnreserveAll(99).Empty() {
+	if c.UnreserveAll(99) != nil {
 		t.Fatal("unknown claim should release nothing")
 	}
 	mustOK(t, c)
@@ -118,9 +124,9 @@ func TestUnreserveAll(t *testing.T) {
 
 func TestReserveExactAndAllocExact(t *testing.T) {
 	c := New(50)
-	rel := c.AllocFree(1, 10) // nodes 0..9
-	ret := c.Release(1)       // back to free
-	if !rel.Equal(ret) {
+	c.AllocFree(1, 10)  // nodes 0..9
+	ret := c.Release(1) // back to free
+	if !ret.Equal(nodeset.Range(0, 10)) {
 		t.Fatal("release must return the same nodes")
 	}
 	c.ReserveExact(5, nodeset.FromIDs(0, 1, 2))
@@ -165,14 +171,14 @@ func TestReleasePartialAndGrow(t *testing.T) {
 		t.Fatal("partial release wrong")
 	}
 	mustOK(t, c)
-	grown := c.Grow(1, 10)
-	if grown.Len() != 10 || c.AllocatedCount(1) != 50 {
+	c.Grow(1, 10)
+	if c.AllocatedCount(1) != 50 {
 		t.Fatal("grow wrong")
 	}
 	mustOK(t, c)
 	// Grow clamps to what is free.
 	c.AllocFree(2, 50)
-	if !c.Grow(1, 5).Empty() {
+	if c.Grow(1, 5); c.AllocatedCount(1) != 50 {
 		t.Fatal("grow with empty free pool should move nothing")
 	}
 	mustOK(t, c)
@@ -233,9 +239,9 @@ func TestRandomOperationsInvariantProperty(t *testing.T) {
 				}
 			case 2: // reserve for a new claim
 				k := 1 + r.Intn(64)
-				got := c.Reserve(nextID, k)
-				if got.Len() > 0 {
-					claims[nextID] = got.Len()
+				c.Reserve(nextID, k)
+				if got := c.ReservedCount(nextID); got > 0 {
+					claims[nextID] = got
 				}
 				nextID++
 			case 3: // dissolve a claim
@@ -248,12 +254,12 @@ func TestRandomOperationsInvariantProperty(t *testing.T) {
 				for id, have := range claims {
 					k := 1 + r.Intn(have)
 					got := c.AllocReserved(nextID, id, k)
-					jobs[nextID] = got.Len()
+					jobs[nextID] = got
 					nextID++
-					if got.Len() == have {
+					if got == have {
 						delete(claims, id)
 					} else {
-						claims[id] = have - got.Len()
+						claims[id] = have - got
 					}
 					break
 				}
@@ -268,8 +274,9 @@ func TestRandomOperationsInvariantProperty(t *testing.T) {
 				}
 			case 6: // grow a job
 				for id := range jobs {
-					got := c.Grow(id, 1+r.Intn(32))
-					jobs[id] += got.Len()
+					before := c.AllocatedCount(id)
+					c.Grow(id, 1+r.Intn(32))
+					jobs[id] += c.AllocatedCount(id) - before
 					break
 				}
 			}
@@ -340,7 +347,8 @@ func TestTakeDownFreeClampsToFree(t *testing.T) {
 
 func TestTakeDownExactPanicsOnHeldNodes(t *testing.T) {
 	c := New(10)
-	held := c.AllocFree(1, 4)
+	c.AllocFree(1, 4)
+	held := c.Allocated(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -351,8 +359,8 @@ func TestTakeDownExactPanicsOnHeldNodes(t *testing.T) {
 
 func TestTakeDownReserved(t *testing.T) {
 	c := New(10)
-	res := c.Reserve(7, 3)
-	id := res.IDs()[0]
+	c.Reserve(7, 3)
+	id := c.ReservedSet(7).IDs()[0]
 	c.TakeDownReserved(7, id)
 	if c.ReservedCount(7) != 2 || c.TotalReserved() != 2 || !c.IsDown(id) {
 		t.Fatalf("reserved take-down wrong: res=%d down=%v", c.ReservedCount(7), c.IsDown(id))
@@ -391,9 +399,9 @@ func TestRestorePanicsOnInServiceNodes(t *testing.T) {
 
 func TestHolderLookups(t *testing.T) {
 	c := New(20)
-	a := c.AllocFree(5, 4)
-	r := c.Reserve(9, 3)
-	aid, rid := a.IDs()[0], r.IDs()[0]
+	c.AllocFree(5, 4)
+	c.Reserve(9, 3)
+	aid, rid := c.Allocated(5).IDs()[0], c.ReservedSet(9).IDs()[0]
 	if j, ok := c.AllocHolder(aid); !ok || j != 5 {
 		t.Fatalf("AllocHolder(%d) = %d,%v", aid, j, ok)
 	}
@@ -432,10 +440,13 @@ func TestClaimsSorted(t *testing.T) {
 	mustOK(t, c)
 }
 
-// TestReturnedSetsAreNotAliased mutates every set a moving call hands back —
-// for a holder that had nothing yet (the cluster takes the picked set over)
-// and for one that already held nodes — and requires the cluster's own
-// bookkeeping to be untouched: callers keep and trim these sets.
+// TestReturnedSetsAreNotAliased mutates every set a caller holds after a
+// moving call — for a holder that had nothing yet (the cluster takes the
+// picked set over) and for one that already held nodes — and requires the
+// cluster's own bookkeeping to be untouched. AllocReservedCopy is the one
+// move that hands nodes back (the engine keeps and trims them as a squat
+// record); AllocFree, Reserve and Grow hand back nothing, so a caller's only
+// handle on what they moved is the copy Allocated or ReservedSet returns.
 func TestReturnedSetsAreNotAliased(t *testing.T) {
 	const job, claim = 1, 7
 	cases := []struct {
@@ -443,24 +454,27 @@ func TestReturnedSetsAreNotAliased(t *testing.T) {
 		prep func(c *Cluster)
 		move func(c *Cluster) *nodeset.Set
 	}{
-		{"AllocFree/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.AllocFree(job, 8) }},
-		{"AllocFree/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.AllocFree(job, 8) }},
-		{"AllocReserved/new", func(c *Cluster) { c.Reserve(claim, 20) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
-		{"AllocReserved/existing", func(c *Cluster) { c.Reserve(claim, 20); c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
-		{"AllocReserved/whole", func(c *Cluster) { c.Reserve(claim, 8) }, func(c *Cluster) *nodeset.Set { return c.AllocReserved(job, claim, 8) }},
-		{"Reserve/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.Reserve(claim, 8) }},
-		{"Reserve/existing", func(c *Cluster) { c.Reserve(claim, 4) }, func(c *Cluster) *nodeset.Set { return c.Reserve(claim, 8) }},
-		{"Grow/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { return c.Grow(job, 8) }},
-		{"Grow/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.Grow(job, 8) }},
+		{"AllocFree/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { c.AllocFree(job, 8); return c.Allocated(job) }},
+		{"AllocFree/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { c.AllocFree(job, 8); return c.Allocated(job) }},
+		{"AllocReserved/new", func(c *Cluster) { c.Reserve(claim, 20) }, func(c *Cluster) *nodeset.Set { return c.AllocReservedCopy(job, claim, 8) }},
+		{"AllocReserved/existing", func(c *Cluster) { c.Reserve(claim, 20); c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { return c.AllocReservedCopy(job, claim, 8) }},
+		{"AllocReserved/whole", func(c *Cluster) { c.Reserve(claim, 8) }, func(c *Cluster) *nodeset.Set { return c.AllocReservedCopy(job, claim, 8) }},
+		{"Reserve/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { c.Reserve(claim, 8); return c.ReservedSet(claim) }},
+		{"Reserve/existing", func(c *Cluster) { c.Reserve(claim, 4) }, func(c *Cluster) *nodeset.Set { c.Reserve(claim, 8); return c.ReservedSet(claim) }},
+		{"Grow/new", func(*Cluster) {}, func(c *Cluster) *nodeset.Set { c.Grow(job, 8); return c.Allocated(job) }},
+		{"Grow/existing", func(c *Cluster) { c.AllocFree(job, 4) }, func(c *Cluster) *nodeset.Set { c.Grow(job, 8); return c.Allocated(job) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(256)
 			c.AllocFree(99, 3) // the picks start inside a word
 			tc.prep(c)
+			a0, r0 := c.AllocatedCount(job), c.ReservedCount(claim)
 			got := tc.move(c)
-			if got.Len() != 8 {
-				t.Fatalf("moved %d nodes, want 8", got.Len())
+			// The receiving holding gains 8: the allocation, or for Reserve
+			// the reservation.
+			if moved := c.AllocatedCount(job) - a0 + max(c.ReservedCount(claim)-r0, 0); moved != 8 || got.Len() < 8 {
+				t.Fatalf("moved %d nodes, caller holds %d, want 8", moved, got.Len())
 			}
 			alloc, res := c.Allocated(job), c.ReservedSet(claim)
 			total := c.TotalReserved()
@@ -481,5 +495,79 @@ func TestReturnedSetsAreNotAliased(t *testing.T) {
 			}
 			mustOK(t, c)
 		})
+	}
+}
+
+// The allocation pins below count mallocs, which do not depend on the host:
+// a move allocates only the set it picks, and checks or misses allocate
+// nothing.
+
+// allocsPerRun is testing.AllocsPerRun, skipping the test in a -race build.
+func allocsPerRun(t *testing.T, runs int, f func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	return testing.AllocsPerRun(runs, f)
+}
+
+func TestAllocFreeReleaseAllocs(t *testing.T) {
+	c := New(131072)
+	c.AllocFree(7, 1000) // the picks start inside the pool, not at word 0
+	got := allocsPerRun(t, 100, func() {
+		c.AllocFree(1, 300)
+		c.Release(1)
+	})
+	if got != 2 {
+		t.Fatalf("AllocFree+Release allocates %v per cycle, want 2 (the picked set and its words)", got)
+	}
+}
+
+func TestNothingHeldAllocs(t *testing.T) {
+	c := New(4096)
+	c.AllocFree(1, 100)
+	if got := allocsPerRun(t, 100, func() { c.UnreserveAll(99) }); got != 0 {
+		t.Fatalf("UnreserveAll of an unknown claim allocates %v, want 0", got)
+	}
+	if got := allocsPerRun(t, 100, func() { c.AllocReserved(2, 99, 10) }); got != 0 {
+		t.Fatalf("AllocReserved without a reservation allocates %v, want 0", got)
+	}
+}
+
+func TestSubsetChecksAllocs(t *testing.T) {
+	c := New(4096)
+	c.AllocFree(1, 100)
+	c.TakeDownFree(50)
+	c.Reserve(5, 1) // claim 5 keeps a holding across the round trips
+	free := c.FreeSet()
+	set := nodeset.Range(1000, 1100)
+	ids := set.IDs()
+	down := c.down.Clone()
+	cases := []struct {
+		name string
+		op   func()
+		want float64
+	}{
+		{"ReserveExact", func() {
+			c.ReserveExact(5, set)
+			for _, id := range ids {
+				c.TakeDownReserved(5, id)
+			}
+			c.Restore(set)
+		}, 0},
+		// The allocation is created afresh each time: its set and words.
+		{"AllocExact", func() { c.AllocExact(6, set); c.Release(6) }, 2},
+		{"TakeDownExact", func() { c.TakeDownExact(set); c.Restore(set) }, 0},
+		{"Restore", func() { c.Restore(down); c.TakeDownExact(down) }, 0},
+	}
+	for _, tc := range cases {
+		tc.op() // the first use grows the pools' storage to cover the span
+		if got := allocsPerRun(t, 100, tc.op); got != tc.want {
+			t.Errorf("%s round trip allocates %v, want %v", tc.name, got, tc.want)
+		}
+		mustOK(t, c)
+	}
+	if !c.FreeSet().Equal(free) {
+		t.Fatal("round trips changed the free pool")
 	}
 }

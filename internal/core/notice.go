@@ -205,10 +205,15 @@ func (m *Mechanism) handleReleaseTimeout(odID int) {
 		return
 	}
 	m.stopPreparation(s)
-	held := m.e.Cluster().UnreserveAll(odID)
 	// The preparation preempted or shrank jobs for nothing: give the nodes
-	// straight back to the lenders before the pool swallows them.
-	m.returnLoans(s, held)
+	// straight back to the lenders before the pool swallows them. With no
+	// reservation left there is nothing to give; the loans are settled all
+	// the same.
+	if held := m.e.Cluster().UnreserveAll(odID); held != nil {
+		m.returnLoans(s, held)
+	} else {
+		s.loans = nil
+	}
 }
 
 // stopPreparation cancels every outstanding preparation activity for an

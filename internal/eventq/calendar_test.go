@@ -262,3 +262,59 @@ func FuzzQueueEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestPooledChurnAllocs pins the steady state the engine relies on: with
+// pooling on, a Pop/Recycle/Push cycle at constant queue size reuses the
+// parked event and the buckets' storage, so it allocates nothing.
+func TestPooledChurnAllocs(t *testing.T) {
+	var q Queue
+	q.EnablePooling()
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 256; i++ {
+		q.Push(int64(r.Intn(10_000)), PrioEnd, nil)
+	}
+	churn := func() {
+		e := q.Pop()
+		next := e.Time + 1 + int64(r.Intn(10_000))
+		q.Recycle(e)
+		q.Push(next, Priority(r.Intn(int(PrioSchedule)+1)), nil)
+	}
+	for i := 0; i < 100_000; i++ {
+		churn() // every bucket reaches the capacity it needs
+	}
+	if got := testing.AllocsPerRun(10_000, churn); got != 0 {
+		t.Fatalf("pooled churn allocates %v per operation, want 0", got)
+	}
+	if q.Len() != 256 {
+		t.Fatalf("Len = %d, want 256", q.Len())
+	}
+}
+
+// TestRebuildDropsHalvedSlots requires a shrinking ring to let go of the
+// buckets it no longer indexes, and the reused buckets to keep dispatching
+// in order.
+func TestRebuildDropsHalvedSlots(t *testing.T) {
+	var cal, ref Queue
+	ref.UseHeap()
+	for i := 0; i < 4096; i++ {
+		at := int64(i * 7919 % 10_007)
+		cal.Push(at, PrioArrive, nil)
+		ref.Push(at, PrioArrive, nil)
+	}
+	grown := len(cal.buckets)
+	for cal.Len() > 16 {
+		a, b := cal.Pop(), ref.Pop()
+		if a.Time != b.Time || a.seq != b.seq {
+			t.Fatalf("dispatch divergence: calendar (t=%d seq=%d) vs heap (t=%d seq=%d)", a.Time, a.seq, b.Time, b.seq)
+		}
+	}
+	if len(cal.buckets) >= grown {
+		t.Fatalf("ring did not shrink: %d buckets, was %d", len(cal.buckets), grown)
+	}
+	for i, bk := range cal.buckets[len(cal.buckets):cap(cal.buckets)] {
+		if bk != nil {
+			t.Fatalf("dropped slot %d keeps a bucket of capacity %d", len(cal.buckets)+i, cap(bk))
+		}
+	}
+	drainAll(t, &cal, &ref)
+}

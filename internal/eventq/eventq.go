@@ -20,6 +20,7 @@ package eventq
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 )
 
@@ -164,13 +165,24 @@ func (q *Queue) place(e *Event) {
 // rebuild resizes the ring to nb buckets and re-derives the bucket width from
 // the live population (the average inter-event gap, clamped to one tick).
 // Events are redistributed in global dispatch order, which keeps every bucket
-// sorted, and lastT snaps to the true minimum.
+// sorted, and lastT snaps to the true minimum. The old ring's bucket slices,
+// emptied, become the new ring's buckets, so a rebuild regrows no bucket
+// that already had room; slots a halving ring drops are set to nil, so the
+// ring holds no storage beyond the buckets in use.
 func (q *Queue) rebuild(nb int) {
 	all := make([]*Event, 0, q.n)
 	for _, bk := range q.buckets {
 		all = append(all, bk...)
 	}
-	sort.Slice(all, func(i, j int) bool { return before(all[i], all[j]) })
+	slices.SortFunc(all, func(a, b *Event) int {
+		switch {
+		case before(a, b):
+			return -1
+		case before(b, a):
+			return 1
+		}
+		return 0
+	})
 	var width int64 = 1
 	if n := len(all); n > 1 {
 		width = (all[n-1].Time - all[0].Time) / int64(n-1)
@@ -179,7 +191,16 @@ func (q *Queue) rebuild(nb int) {
 		}
 	}
 	q.width = width
-	q.buckets = make([][]*Event, nb)
+	for i, bk := range q.buckets {
+		clear(bk)
+		q.buckets[i] = bk[:0]
+	}
+	if nb <= len(q.buckets) {
+		clear(q.buckets[nb:])
+		q.buckets = q.buckets[:nb]
+	} else {
+		q.buckets = append(q.buckets, make([][]*Event, nb-len(q.buckets))...)
+	}
 	for _, e := range all {
 		q.place(e)
 	}

@@ -65,7 +65,7 @@ type Options struct {
 	Drains []runner.DrainSpec
 
 	// CheckpointDir, when non-empty, makes every experiment grid resumable
-	// (the expdriver -resume flag): cells persist snapshots and finished
+	// (the expdriver -checkpoint flag): cells persist snapshots and finished
 	// reports there, completed cells are skipped on rerun, and interrupted
 	// cells continue from their snapshots — with results byte-identical to an
 	// uninterrupted run. CheckpointEvery is the snapshot interval in

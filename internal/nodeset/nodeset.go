@@ -251,18 +251,37 @@ func Union(s, o *Set) *Set {
 	return c
 }
 
-// Difference returns a new set s \ o.
-func Difference(s, o *Set) *Set {
-	c := s.Clone()
-	c.SubtractWith(o)
-	return c
-}
-
 // Intersection returns a new set s ∩ o.
 func Intersection(s, o *Set) *Set {
 	c := s.Clone()
 	c.IntersectWith(o)
 	return c
+}
+
+// SubsetOf reports whether every member of s is also in o. It walks only s's
+// occupied span and allocates nothing.
+func (s *Set) SubsetOf(o *Set) bool {
+	if s.count == 0 {
+		return true
+	}
+	if s.count > o.count {
+		return false
+	}
+	// The first and last occupied words hold members, so a span reaching
+	// outside o's has a member o lacks.
+	a, b := s.occupied()
+	if a < o.off || b > o.end() {
+		return false
+	}
+	sw := s.words[a-s.off : b-s.off]
+	ow := o.words[a-o.off : b-o.off]
+	ow = ow[:len(sw)]
+	for i, w := range sw {
+		if w&^ow[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Intersects reports whether s and o share any member, without allocating.

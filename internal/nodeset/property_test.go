@@ -84,7 +84,8 @@ func TestQuickIntersectSubtractSemantics(t *testing.T) {
 		sa, ma := fromIDs16(a)
 		sb, mb := fromIDs16(b)
 		inter := Intersection(sa, sb)
-		diff := Difference(sa, sb)
+		diff := sa.Clone()
+		diff.SubtractWith(sb)
 		mi := make(map[int]bool)
 		md := make(map[int]bool)
 		for id := range ma {
@@ -112,12 +113,38 @@ func TestQuickSubtractUnionRoundTrip(t *testing.T) {
 		sb, _ := fromIDs16(b)
 		// (a ∪ b) \ b == a \ b, and re-adding b restores a ∪ b.
 		u := Union(sa, sb)
-		stripped := Difference(u, sb)
-		if !stripped.Equal(Difference(sa, sb)) {
+		stripped := u.Clone()
+		stripped.SubtractWith(sb)
+		want := sa.Clone()
+		want.SubtractWith(sb)
+		if !stripped.Equal(want) {
 			return false
 		}
 		stripped.UnionWith(sb)
 		return stripped.Equal(u)
+	})
+}
+
+func TestQuickSubsetOfSemantics(t *testing.T) {
+	quickCheck(t, "subset", func(a, b []uint16) bool {
+		sa, ma := fromIDs16(a)
+		sb, mb := fromIDs16(b)
+		sub := true
+		for id := range ma {
+			sub = sub && mb[id]
+		}
+		if sa.SubsetOf(sb) != sub {
+			return false
+		}
+		// Laws: a ⊆ a ∪ b, a ∩ b ⊆ a, a \ b ⊆ a, and (a \ b) ⊆ b only when
+		// a \ b is empty. The operands must come through untouched.
+		diff := sa.Clone()
+		diff.SubtractWith(sb)
+		if !sa.SubsetOf(Union(sa, sb)) || !Intersection(sa, sb).SubsetOf(sa) ||
+			!diff.SubsetOf(sa) || diff.SubsetOf(sb) != diff.Empty() {
+			return false
+		}
+		return agrees(sa, ma) && agrees(sb, mb)
 	})
 }
 

@@ -211,20 +211,30 @@ func FuzzSetOps(f *testing.F) {
 				if got, ok := s.NextSet(id); got != wantNext || ok != wantOK {
 					t.Fatalf("NextSet(%d) = %d,%v, want %d,%v", id, got, ok, wantNext, wantOK)
 				}
-				shared, same := false, len(m) == len(models[b])
+				shared, sub, super := false, true, true
 				for x := range m {
 					shared = shared || models[b][x]
-					same = same && models[b][x]
+					sub = sub && models[b][x]
 				}
+				for x := range models[b] {
+					super = super && m[x]
+				}
+				same := sub && super
 				if s.Intersects(sets[b]) != shared || s.Equal(sets[b]) != same || sets[b].Equal(s) != same {
 					t.Fatalf("Intersects/Equal(%d, %d) = %v/%v, want %v/%v",
 						a, b, s.Intersects(sets[b]), s.Equal(sets[b]), shared, same)
+				}
+				if s.SubsetOf(sets[b]) != sub || sets[b].SubsetOf(s) != super {
+					t.Fatalf("SubsetOf(%d, %d) = %v, reversed %v, want %v/%v",
+						a, b, s.SubsetOf(sets[b]), sets[b].SubsetOf(s), sub, super)
 				}
 			case 9:
 				for x := range models[b] {
 					delete(m, x)
 				}
-				sets[a] = Difference(s, sets[b])
+				d := s.Clone()
+				d.SubtractWith(sets[b])
+				sets[a] = d
 			}
 			for i := range sets {
 				checkModel(t, "after op", sets[i], models[i])

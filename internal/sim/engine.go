@@ -56,9 +56,10 @@ type Config struct {
 	// and the metrics collector aggregates completions into constant-memory
 	// moments instead of retaining a per-job result. A 25M-job run submitted
 	// incrementally holds steady RSS. Trade-offs: reports carry no PerJob
-	// list and no rank statistics, Snapshot/LoadSnapshot are refused, and a
-	// completed job's ID can silently be reused by a later Submit — the
-	// engine no longer remembers it.
+	// list and no rank statistics, and Snapshot/LoadSnapshot are refused.
+	// Completed IDs are still remembered, so Submit refuses a reused one as
+	// a duplicate: one bit per ID for IDs from 0 up to about twice the
+	// number of jobs submitted, a map entry for any other ID.
 	ReleaseCompleted bool
 }
 
@@ -329,6 +330,14 @@ type Engine struct {
 	// and the cluster's down pool; see avail.go.
 	drains []*drainWindow
 
+	// IDs of the jobs a ReleaseCompleted run has forgotten, so a reused one
+	// is still refused: a bitmap for IDs in reach of the registered count,
+	// a map for outliers (negative or far-off IDs).
+	//schedlint:snapfield ReleaseCompleted-only; snapshots refuse ReleaseCompleted engines
+	doneIDs nodeset.Set
+	//schedlint:snapfield ReleaseCompleted-only; snapshots refuse ReleaseCompleted engines
+	doneOther map[int]struct{}
+
 	// BackfillReserved bookkeeping.
 	backfillable map[int]bool    // claims whose reservations may host squatters
 	squats       map[int][]squat // squatter job ID -> occupied reserved nodes
@@ -381,7 +390,7 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 // register records j in the ID index, choosing dense or sparse storage. It
 // fails on a duplicate ID.
 func (e *Engine) register(j *job.Job) error {
-	if ent := e.lookup(j.ID); ent != nil {
+	if e.known(j.ID) {
 		return fmt.Errorf("sim: duplicate job ID %d", j.ID)
 	}
 	e.registered++
@@ -648,7 +657,7 @@ func (e *Engine) Submit(j *job.Job) error {
 	if j.Size > e.cfg.Nodes {
 		return fmt.Errorf("sim: job %d size %d exceeds system %d", j.ID, j.Size, e.cfg.Nodes)
 	}
-	if e.lookup(j.ID) != nil {
+	if e.known(j.ID) {
 		return fmt.Errorf("sim: duplicate job ID %d", j.ID)
 	}
 	if e.primed && j.SubmitTime < e.clk {
@@ -899,7 +908,7 @@ func (e *Engine) handleEnd(j *job.Job) {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.mech.OnJobCompleted(j, freed)
 	e.requestSchedule()
 	if e.cfg.ReleaseCompleted {
@@ -908,13 +917,32 @@ func (e *Engine) handleEnd(j *job.Job) {
 }
 
 // dropEntry forgets a completed job's index entry (ReleaseCompleted): the
-// dispatcher sees the missing entry and recycles the popped end event.
+// dispatcher sees the missing entry and recycles the popped end event. The
+// ID itself is remembered, so known still reports it.
 func (e *Engine) dropEntry(id int) {
+	if id >= 0 && id < 2*e.registered+denseSlack {
+		e.doneIDs.Add(id)
+	} else {
+		if e.doneOther == nil {
+			e.doneOther = make(map[int]struct{})
+		}
+		e.doneOther[id] = struct{}{}
+	}
 	if id >= 0 && id < len(e.dense) && e.dense[id].j != nil {
 		e.dense[id] = jobEntry{}
 		return
 	}
 	delete(e.sparse, id)
+}
+
+// known reports whether id was ever registered: it has an index entry, or a
+// ReleaseCompleted run forgot it at completion.
+func (e *Engine) known(id int) bool {
+	if e.lookup(id) != nil || e.doneIDs.Contains(id) {
+		return true
+	}
+	_, ok := e.doneOther[id]
+	return ok
 }
 
 func (e *Engine) handleWarnExpired(j *job.Job, claim int) {
@@ -936,7 +964,7 @@ func (e *Engine) handleWarnExpired(j *job.Job, claim int) {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	e.mech.OnWarningExpired(j, claim, freed)
 	e.requestSchedule()

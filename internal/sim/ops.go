@@ -154,7 +154,7 @@ func (e *Engine) referenceRunningInfo() []policy.Running {
 // reservations marked backfillable, recording squats for later eviction.
 func (e *Engine) startJob(j *job.Job, size int, allowSquat bool) {
 	need := size
-	need -= e.cl.AllocReserved(j.ID, j.ID, need).Len()
+	need -= e.cl.AllocReserved(j.ID, j.ID, need)
 	if free := e.cl.FreeCount(); need > 0 && free > 0 {
 		take := need
 		if take > free {
@@ -175,7 +175,7 @@ func (e *Engine) startJob(j *job.Job, size int, allowSquat bool) {
 			if need == 0 {
 				break
 			}
-			taken := e.cl.AllocReserved(j.ID, claim, need)
+			taken := e.cl.AllocReservedCopy(j.ID, claim, need)
 			if taken.Len() == 0 {
 				continue
 			}
@@ -250,7 +250,7 @@ func (e *Engine) PreemptRigid(j *job.Job) *nodeset.Set {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	return freed
 }
@@ -278,7 +278,7 @@ func (e *Engine) PreemptMalleableNow(j *job.Job) *nodeset.Set {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	return freed
 }
@@ -511,14 +511,13 @@ func (e *Engine) EvictSquatters(claim int) {
 
 // restoreSquattedNodes returns a finished/preempted squatter's reserved-pool
 // nodes to the claims that own them (if the claims are still live), drops
-// the squat records, and returns the set of nodes that went back into
-// reservations (callers must subtract it from any freed set they report to
-// the mechanism, since those nodes are no longer free).
-func (e *Engine) restoreSquattedNodes(jobID int) *nodeset.Set {
-	reclaimed := &nodeset.Set{}
+// the squat records, and removes every node that went back into a
+// reservation from freed, in place: freed is the set the caller reports to
+// the mechanism, and those nodes are no longer free.
+func (e *Engine) restoreSquattedNodes(jobID int, freed *nodeset.Set) {
 	sqs, ok := e.squats[jobID]
 	if !ok {
-		return reclaimed
+		return
 	}
 	delete(e.squats, jobID)
 	for _, s := range sqs {
@@ -530,8 +529,7 @@ func (e *Engine) restoreSquattedNodes(jobID int) *nodeset.Set {
 			// Nodes were released to the free pool by the caller; move them
 			// back into the claim's reservation.
 			e.cl.ReserveExact(s.claim, s.nodes)
-			reclaimed.UnionWith(s.nodes)
+			freed.SubtractWith(s.nodes)
 		}
 	}
-	return reclaimed
 }

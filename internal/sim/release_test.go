@@ -155,3 +155,34 @@ func TestReleaseCompletedRefusesSnapshot(t *testing.T) {
 		t.Fatal("LoadSnapshot must be refused")
 	}
 }
+
+// TestReleaseCompletedRefusesReusedID resubmits the IDs of completed jobs —
+// in the bitmap's range, negative, and far beyond it — to an engine that
+// has forgotten them: each must be refused as a duplicate, and a fresh ID
+// must still be accepted.
+func TestReleaseCompletedRefusesReusedID(t *testing.T) {
+	e, err := New(Config{Nodes: 100, ReleaseCompleted: true}, nil, Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{1, 2, 3, -5, 1 << 40}
+	for k, id := range ids {
+		if err := e.Submit(rigid(id, int64(k), 10, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.CompletedCount() != len(ids) || len(e.sparse) != 0 {
+		t.Fatalf("completed %d of %d, %d entries live", e.CompletedCount(), len(ids), len(e.sparse))
+	}
+	for _, id := range ids {
+		if err := e.Submit(rigid(id, e.Now(), 10, 200)); err == nil {
+			t.Fatalf("Submit of completed job ID %d accepted", id)
+		}
+	}
+	if err := e.Submit(rigid(4, e.Now(), 10, 200)); err != nil {
+		t.Fatalf("fresh ID refused: %v", err)
+	}
+}
